@@ -832,7 +832,7 @@ let run_cluster ~quick =
   Prelude.Texttable.print table;
   check "fix within budget: <= 2 msgs/request, <= 2 comm rounds"
     !fix_msg_budget_ok;
-  (* part 2: placement invariance -- the router's mirror decides, so
+  (* part 2: placement invariance -- the decision state decides, so
      the node layout must never change a decision *)
   let inv_inst = straddle_instance ~pct:50 ~seed:950 in
   let logs =

@@ -1,16 +1,21 @@
-(* The router tier.  The decision state here is deliberately the same
-   state machine as Localstrat.Local — same slot table, same maximal
-   acceptance rule, same phase order — but every protocol step is
-   driven by what the Transport actually delivered as wire bytes, and
-   every accepted decision is materialised on the owning node's
-   replica.  That split is the whole design: decisions depend only on
-   resources and senders (so they are identical to the simulator and
-   invariant under node placement), while the replicas carry the state
-   that is genuinely lost when a node dies. *)
+(* The router tier.  The paper's local strategies run here as the one
+   protocol in Localstrat.Local, over a cluster fabric: every protocol
+   message is mapped to its Wire payload, travels through the
+   Transport as rendered bytes, and is rebuilt from the parsed
+   envelope, so every decision is driven by what was actually
+   delivered; the fabric's event callbacks materialise each accepted
+   decision on the owning node's replica and answer with a reply
+   line.  Decisions depend only on resources and senders (so they are
+   identical to the simulator and invariant under node placement),
+   while the replicas carry the state that is genuinely lost when a
+   node dies.  What stays here is cluster-specific: ring placement,
+   liveness and failover, rejoin handoff, replica-confirmed serves and
+   the proxy-global baseline. *)
 
 module Request = Sched.Request
 module Strategy = Sched.Strategy
 module Slots = Localstrat.Slots
+module Local = Localstrat.Local
 
 type kind =
   | Local_fix
@@ -58,17 +63,12 @@ type t = {
   mutable ring : Ring.t;
   suspected : int array;        (* consecutive missed pongs *)
   confirmed_dead : bool array;  (* the router's view; Node.alive is truth *)
-  (* the mirror: Localstrat.Local's decision state *)
-  slots : int Slots.t;
-  assigned : (int, int * int) Hashtbl.t;
-  active : (int, Request.t) Hashtbl.t;
+  state : Local.state;          (* the protocol's decision state *)
   mutable round : int;
   mutable queue : Request.t list;  (* reversed pending submissions *)
   mutable readmit : int list;      (* failover re-admissions, oldest first *)
   mutable next_id : int;
   ids : (int, unit) Hashtbl.t;
-  mutable sched_rounds : int;
-  mutable max_cr : int;
   mutable requests_n : int;
   mutable straddled_n : int;
   mutable served_n : int;
@@ -115,16 +115,12 @@ let create ?metrics ?capacity ?priority ?(fail_after = 2) ?vnodes ~strategy
       ring = Ring.create ?vnodes ~nodes:(List.init nodes Fun.id) ();
       suspected = Array.make nodes 0;
       confirmed_dead = Array.make nodes false;
-      slots = Slots.create ();
-      assigned = Hashtbl.create 128;
-      active = Hashtbl.create 128;
+      state = Local.create_state ~n;
       round = 0;
       queue = [];
       readmit = [];
       next_id = 0;
       ids = Hashtbl.create 128;
-      sched_rounds = 0;
-      max_cr = 0;
       requests_n = 0;
       straddled_n = 0;
       served_n = 0;
@@ -150,7 +146,7 @@ let round t = t.round
 let node_alive t k = Node.alive t.nodes.(k)
 let owner t res = Ring.owner t.ring res
 let node_of t res = t.nodes.(Ring.owner t.ring res)
-let pending t = Hashtbl.length t.active + List.length t.queue
+let pending t = Hashtbl.length t.state.Local.active + List.length t.queue
 
 let exchange t envs =
   Transport.exchange t.transport
@@ -187,35 +183,6 @@ let submit ?id t ~alternatives ~deadline =
          Ok id)
 
 (* ------------------------------------------------------------------ *)
-(* mirror primitives (Localstrat.Local's, verbatim semantics) *)
-
-let try_accept t ~round res (r : Request.t) =
-  match
-    Slots.try_accept t.slots ~round ~res ~arrival:r.Request.arrival
-      ~last:(Request.last_round r) r.Request.id
-  with
-  | None -> None
-  | Some slot ->
-    Hashtbl.replace t.assigned r.Request.id (res, slot);
-    Some slot
-
-let expire t ~round =
-  let dead =
-    Hashtbl.fold
-      (fun id r acc -> if Request.last_round r < round then id :: acc else acc)
-      t.active []
-  in
-  List.iter
-    (fun id ->
-       Hashtbl.remove t.active id;
-       (match Hashtbl.find_opt t.assigned id with
-        | Some (res, slot) -> Slots.free t.slots ~res ~round:slot
-        | None -> ());
-       Hashtbl.remove t.assigned id)
-    dead;
-  List.sort compare dead
-
-(* ------------------------------------------------------------------ *)
 (* liveness: ping sweep, failover, rejoin *)
 
 let declare_dead t k =
@@ -226,21 +193,21 @@ let declare_dead t k =
   if List.length (Ring.members t.ring) > 1 && Ring.mem t.ring k then
     t.ring <- Ring.remove t.ring k;
   (* every request assigned to a resource the dead node hosted has lost
-     its slot with the node's state: free it in the mirror and push the
-     survivors back through the next round's offer phase, windows
-     untouched *)
+     its slot with the node's state: free it in the decision state and
+     push the survivors back through the next round's offer phase,
+     windows untouched *)
   let victims =
     Hashtbl.fold
       (fun id (res, slot) acc ->
          if Ring.owner old_ring res = k then (id, res, slot) :: acc else acc)
-      t.assigned []
+      t.state.Local.assigned []
     |> List.sort compare
   in
   List.iter
     (fun (id, res, slot) ->
-       Slots.free t.slots ~res ~round:slot;
-       Hashtbl.remove t.assigned id;
-       if Hashtbl.mem t.active id then begin
+       Slots.free t.state.Local.slots ~res ~round:slot;
+       Hashtbl.remove t.state.Local.assigned id;
+       if Hashtbl.mem t.state.Local.active id then begin
          t.readmit <- t.readmit @ [ id ];
          t.readmitted_n <- t.readmitted_n + 1;
          met t "cluster.readmitted"
@@ -307,15 +274,15 @@ let rejoin t k =
   end
 
 (* ------------------------------------------------------------------ *)
-(* serve collection: the mirror claims, the replica confirms *)
+(* serve collection: the decision state claims, the replica confirms *)
 
 let collect_serves t ~round =
   let serves = ref [] in
   for res = t.n - 1 downto 0 do
-    match Slots.take t.slots ~res ~round with
+    match Slots.take t.state.Local.slots ~res ~round with
     | None -> ()
     | Some id ->
-      Hashtbl.remove t.assigned id;
+      Hashtbl.remove t.state.Local.assigned id;
       let node = node_of t res in
       let confirmed =
         Node.alive node
@@ -329,10 +296,10 @@ let collect_serves t ~round =
       in
       if confirmed then begin
         respond t (Wire.Served { res; round; q = id });
-        Hashtbl.remove t.active id;
+        Hashtbl.remove t.state.Local.active id;
         serves := (id, res) :: !serves
       end
-      else if Hashtbl.mem t.active id then begin
+      else if Hashtbl.mem t.state.Local.active id then begin
         (* the node lost the slot with its state before the router
            noticed: the serve did not happen.  Re-admit while the
            window still allows; expiry provides the terminal if not. *)
@@ -344,383 +311,64 @@ let collect_serves t ~round =
   !serves
 
 (* ------------------------------------------------------------------ *)
-(* the fix protocol (and A_local_eager's phase 1) over the wire *)
+(* the cluster fabric: Localstrat.Local's protocol over the wire *)
 
-let offer_round t ~round ~alt senders =
-  let envs =
-    List.filter_map
-      (fun (r : Request.t) ->
-         if alt >= Array.length r.Request.alternatives then None
-         else
-           Some
-             {
-               Wire.sender = r.Request.id;
-               dst = r.Request.alternatives.(alt);
-               deadline_key = Request.last_round r;
-               tagged = false;
-               data = Wire.Offer (Wire.reqinfo_of_request r);
-             })
-      senders
-  in
-  let results = exchange t envs in
-  let skipped =
-    List.filter
-      (fun (r : Request.t) -> alt >= Array.length r.Request.alternatives)
-      senders
-  in
-  let delivered =
-    List.filter_map
-      (fun (e, st) -> if st = Transport.Delivered then Some e else None)
-      results
-  in
-  (* each resource processes its delivered offers in EDF order *)
-  let by_deadline =
-    List.sort
-      (fun (a : Wire.env) b ->
-         if a.Wire.deadline_key <> b.Wire.deadline_key then
-           compare a.Wire.deadline_key b.Wire.deadline_key
-         else compare a.Wire.sender b.Wire.sender)
-      delivered
-  in
-  let rejected =
-    List.filter_map
-      (fun (e : Wire.env) ->
-         let ri =
-           match e.Wire.data with Wire.Offer ri -> ri | _ -> assert false
-         in
-         let r = Wire.request_of_reqinfo ri in
-         match try_accept t ~round e.Wire.dst r with
-         | Some slot ->
-           Node.set_slot (node_of t e.Wire.dst) ~res:e.Wire.dst ~round:slot ri;
-           respond t (Wire.Accept { q = ri.Wire.rid; res = e.Wire.dst; slot });
-           None
-         | None ->
-           respond t (Wire.Full { q = ri.Wire.rid; res = e.Wire.dst });
-           Some r)
-      by_deadline
-  in
-  let failed =
-    List.filter_map
-      (fun ((e : Wire.env), st) ->
-         if st = Transport.Delivered then None
-         else
-           match e.Wire.data with
-           | Wire.Offer ri -> Some (Wire.request_of_reqinfo ri)
-           | _ -> assert false)
-      results
-  in
-  skipped @ failed @ rejected
+let to_wire : Local.msg -> Wire.data =
+  let ri = Wire.reqinfo_of_request in
+  function
+  | Local.Offer r -> Wire.Offer (ri r)
+  | Local.Probe r -> Wire.Probe (ri r)
+  | Local.Cancel { q; old_res; old_t } -> Wire.Cancel { q; old_res; old_t }
+  | Local.Rival r -> Wire.Rival (ri r)
+  | Local.Swap { r; q } -> Wire.Swap { r; q = ri q }
+  | Local.Rehome { r; res } -> Wire.Rehome { r = ri r; res }
 
-let fix_tick t ~round newcomers =
-  let failed = offer_round t ~round ~alt:0 newcomers in
-  ignore (offer_round t ~round ~alt:1 failed)
+let of_wire : Wire.data -> Local.msg =
+  let rq = Wire.request_of_reqinfo in
+  function
+  | Wire.Offer ri -> Local.Offer (rq ri)
+  | Wire.Probe ri -> Local.Probe (rq ri)
+  | Wire.Cancel { q; old_res; old_t } -> Local.Cancel { q; old_res; old_t }
+  | Wire.Rival ri -> Local.Rival (rq ri)
+  | Wire.Swap { r; q } -> Local.Swap { r; q = rq q }
+  | Wire.Rehome { r; res } -> Local.Rehome { r = rq r; res }
+  | Wire.Loadq | Wire.Assign _ -> assert false (* proxy-global only *)
 
-(* ------------------------------------------------------------------ *)
-(* A_local_eager over the wire *)
+let set_replica t ~res ~slot r =
+  Node.set_slot (node_of t res) ~res ~round:slot (Wire.reqinfo_of_request r)
 
-type move = Request.t * int * int * int (* r, old res, old slot, new res *)
-
-(* The mirror commits a move when its cancellation lands (the same
-   point Localstrat.Local applies it); the new owner's replica is
-   pre-positioned at acknowledgment time, which is equivalent because a
-   cancellation can never lose the capacity contest at capacity >= d
-   and replicas are only read at end of round. *)
-let apply_move t ~round (((r : Request.t), res, slot, other) : move) =
-  Slots.free t.slots ~res ~round:slot;
-  Slots.set t.slots ~res:other ~round r.Request.id;
-  Hashtbl.replace t.assigned r.Request.id (other, round)
-
-let eager_phase2_select t ~round =
-  let movers =
-    Hashtbl.fold
-      (fun id (res, slot) acc ->
-         if slot > round then
-           match Hashtbl.find_opt t.active id with
-           | Some r when Array.length r.Request.alternatives >= 2 ->
-             let other =
-               if r.Request.alternatives.(0) = res then
-                 r.Request.alternatives.(1)
-               else r.Request.alternatives.(0)
-             in
-             (r, res, slot, other) :: acc
-           | Some _ | None -> acc
-         else acc)
-      t.assigned []
-  in
-  let envs =
-    List.map
-      (fun ((r : Request.t), _res, _slot, other) ->
-         {
-           Wire.sender = r.Request.id;
-           dst = other;
-           deadline_key = Request.last_round r;
-           tagged = false;
-           data = Wire.Probe (Wire.reqinfo_of_request r);
-         })
-      movers
-  in
-  let results = exchange t envs in
-  (* each resource with a free current slot acknowledges one mover *)
-  let chosen = Hashtbl.create 16 in
-  List.iter
-    (fun ((e : Wire.env), st) ->
-       if
-         st = Transport.Delivered
-         && not (Slots.mem t.slots ~res:e.Wire.dst ~round)
-       then
-         match Hashtbl.find_opt chosen e.Wire.dst with
-         | Some prev when prev <= e.Wire.sender -> ()
-         | Some _ | None -> Hashtbl.replace chosen e.Wire.dst e.Wire.sender)
-    results;
-  let moves =
-    List.filter
-      (fun ((r : Request.t), _res, _slot, other) ->
-         Hashtbl.find_opt chosen other = Some r.Request.id)
-      movers
-  in
-  List.iter
-    (fun (((r : Request.t), _res, _slot, other) : move) ->
-       respond t (Wire.Ack { q = r.Request.id; res = other });
-       Node.set_slot (node_of t other) ~res:other ~round
-         (Wire.reqinfo_of_request r))
-    moves;
-  moves
-
-let cancel_envs (moves : move list) =
-  List.map
-    (fun ((r : Request.t), res, slot, _other) ->
-       {
-         Wire.sender = r.Request.id;
-         dst = res;
-         (* highest LDF rank: the capacity cut must never break an
-            acknowledged move (at most d-1 cancels target one resource,
-            below every capacity we allow) *)
-         deadline_key = max_int;
-         tagged = false;
-         data = Wire.Cancel { q = r.Request.id; old_res = res; old_t = slot };
-       })
-    moves
-
-(* A cancellation outcome: Delivered frees the old node's replica slot;
-   Dead means the old node lost that state anyway.  Either way the
-   acknowledged move stands.  Bounced is unreachable at capacity >= d,
-   and if it ever happened the move must abort (mirror untouched). *)
-let process_cancel t ~round ~moves_tbl (e : Wire.env) st =
-  match e.Wire.data with
-  | Wire.Cancel { q; old_res; old_t } ->
-    if st <> Transport.Bounced then begin
-      (match Hashtbl.find_opt moves_tbl q with
-       | Some mv ->
-         apply_move t ~round mv;
-         Hashtbl.remove moves_tbl q
-       | None -> ());
-      if st = Transport.Delivered then
-        Node.free_slot (node_of t old_res) ~res:old_res ~round:old_t
-    end
-  | _ -> ()
-
-type swap = { sw_q : Request.t; sw_res : int; sw_r : int }
-
-let swap_envs swaps =
-  List.map
-    (fun s ->
-       {
-         Wire.sender = s.sw_q.Request.id;
-         dst = s.sw_res;
-         deadline_key = Request.last_round s.sw_q;
-         tagged = true;
-         data =
-           Wire.Swap { r = s.sw_r; q = Wire.reqinfo_of_request s.sw_q };
-       })
-    swaps
-
-let rival_envs ~alt pending =
-  List.filter_map
-    (fun (q : Request.t) ->
-       if alt >= Array.length q.Request.alternatives then None
-       else
-         Some
-           {
-             Wire.sender = q.Request.id;
-             dst = q.Request.alternatives.(alt);
-             deadline_key = Request.last_round q;
-             tagged = false;
-             data = Wire.Rival (Wire.reqinfo_of_request q);
-           })
-    pending
-
-let apply_swap t ~round ~swapped ~res (q : Wire.reqinfo) ~replica =
-  Slots.set t.slots ~res ~round q.Wire.rid;
-  Hashtbl.replace t.assigned q.Wire.rid (res, round);
-  swapped.(res) <- true;
-  if replica then Node.set_slot (node_of t res) ~res ~round q
-
-(* One communication round carrying tagged swap notifications (from the
-   previous attempt) together with this attempt's rival requests (and,
-   in the compact variant, the pending cancellations).  Returns the
-   grants: resource -> (q, current occupant r, r's other resource). *)
-let rival_round t ~round ~swapped ~moves_tbl ~prev_swaps ~extra ~alt pending
-  =
-  let envs = swap_envs prev_swaps @ extra @ rival_envs ~alt pending in
-  let results = exchange t envs in
-  (* swaps (tagged, never cut) and cancellations settle before the
-     grant computation, so the check sees the final slot occupancy *)
-  List.iter
-    (fun ((e : Wire.env), st) ->
-       match e.Wire.data with
-       | Wire.Swap { r = _; q } ->
-         assert (st <> Transport.Bounced);
-         apply_swap t ~round ~swapped ~res:e.Wire.dst q
-           ~replica:(st = Transport.Delivered)
-       | Wire.Cancel _ -> process_cancel t ~round ~moves_tbl e st
-       | _ -> ())
-    results;
-  let grants = Hashtbl.create 16 in
-  List.iter
-    (fun ((e : Wire.env), st) ->
-       match e.Wire.data with
-       | Wire.Rival q_ri ->
-         let res = e.Wire.dst in
-         if
-           st = Transport.Delivered
-           && (not swapped.(res))
-           && not (Hashtbl.mem grants res)
-         then (
-           match Slots.find t.slots ~res ~round with
-           | None -> ()
-           | Some r_id ->
-             (match Hashtbl.find_opt t.active r_id with
-              | None -> ()
-              | Some r when Array.length r.Request.alternatives < 2 -> ()
-              | Some r ->
-                let s_r =
-                  if r.Request.alternatives.(0) = res then
-                    r.Request.alternatives.(1)
-                  else r.Request.alternatives.(0)
-                in
-                respond t (Wire.Ack { q = q_ri.Wire.rid; res });
-                Hashtbl.replace grants res
-                  (Wire.request_of_reqinfo q_ri, r, s_r)))
-       | _ -> ())
-    results;
-  grants
-
-(* The rehome communication round: each granted rival forwards the
-   current occupant to its other resource, which accepts into a free
-   slot of the occupant's window.  Returns the successful swaps. *)
-let rehome_round t ~round grants =
-  let envs =
-    Hashtbl.fold
-      (fun res ((q : Request.t), (r : Request.t), s_r) acc ->
-         {
-           Wire.sender = q.Request.id;
-           dst = s_r;
-           deadline_key = Request.last_round r;
-           tagged = false;
-           data = Wire.Rehome { r = Wire.reqinfo_of_request r; res };
-         }
-         :: acc)
-      grants []
-  in
-  let results = exchange t envs in
-  let ordered =
-    List.sort
-      (fun ((a : Wire.env), _) (b, _) ->
-         if a.Wire.deadline_key <> b.Wire.deadline_key then
-           compare a.Wire.deadline_key b.Wire.deadline_key
-         else compare a.Wire.sender b.Wire.sender)
-      results
-  in
-  List.filter_map
-    (fun ((e : Wire.env), st) ->
-       if st <> Transport.Delivered then None
-       else
-         match e.Wire.data with
-         | Wire.Rehome { r = r_ri; res } ->
-           if Slots.find t.slots ~res ~round <> Some r_ri.Wire.rid then None
-           else begin
-             let r = Wire.request_of_reqinfo r_ri in
-             match try_accept t ~round e.Wire.dst r with
-             | Some slot ->
-               Node.set_slot (node_of t e.Wire.dst) ~res:e.Wire.dst
-                 ~round:slot r_ri;
-               respond t
-                 (Wire.Accept { q = r_ri.Wire.rid; res = e.Wire.dst; slot });
-               (* r re-homed; the old slot is freed in the mirror now
-                  and on the owner's replica when the tagged swap
-                  notification overwrites it *)
-               Slots.free t.slots ~res ~round;
-               let q =
-                 match Hashtbl.find_opt grants res with
-                 | Some (q, _, _) -> q
-                 | None -> assert false
-               in
-               Some { sw_q = q; sw_res = res; sw_r = r_ri.Wire.rid }
-             | None -> None
-           end
-         | _ -> None)
-    ordered
-
-let eager_tick t ~compact ~round =
-  let unscheduled () =
-    Hashtbl.fold
-      (fun id r acc ->
-         if Hashtbl.mem t.assigned id then acc else r :: acc)
-      t.active []
-    |> List.sort (fun (a : Request.t) b ->
-        compare a.Request.id b.Request.id)
-  in
-  (* phase 1 (2 comm rounds): the fix protocol over all unscheduled
-     live requests *)
-  let failed = offer_round t ~round ~alt:0 (unscheduled ()) in
-  ignore (offer_round t ~round ~alt:1 failed);
-  (* phase 2: pull future-scheduled requests into free current slots *)
-  let moves = eager_phase2_select t ~round in
-  let moves_tbl = Hashtbl.create 16 in
-  List.iter
-    (fun (((r : Request.t), _, _, _) as mv : move) ->
-       Hashtbl.replace moves_tbl r.Request.id mv)
-    moves;
-  let pending_cancels =
-    if compact then cancel_envs moves
-    else begin
-      let results = exchange t (cancel_envs moves) in
-      List.iter
-        (fun (e, st) -> process_cancel t ~round ~moves_tbl e st)
-        results;
-      []
-    end
-  in
-  (* phase 3 (5 comm rounds): two swap attempts; attempt 1's tagged
-     notifications share a round with attempt 2's rival requests *)
-  let swapped = Array.make t.n false in
-  let grants1 =
-    rival_round t ~round ~swapped ~moves_tbl ~prev_swaps:[]
-      ~extra:pending_cancels ~alt:0 (unscheduled ())
-  in
-  let swaps1 = rehome_round t ~round grants1 in
-  let won1 = Hashtbl.create 16 in
-  List.iter (fun s -> Hashtbl.replace won1 s.sw_q.Request.id ()) swaps1;
-  let pending2 =
-    List.filter
-      (fun (q : Request.t) -> not (Hashtbl.mem won1 q.Request.id))
-      (unscheduled ())
-  in
-  let grants2 =
-    rival_round t ~round ~swapped ~moves_tbl ~prev_swaps:swaps1 ~extra:[]
-      ~alt:1 pending2
-  in
-  let swaps2 = rehome_round t ~round grants2 in
-  (* final communication round: attempt 2's tagged notifications *)
-  let results = exchange t (swap_envs swaps2) in
-  List.iter
-    (fun ((e : Wire.env), st) ->
-       match e.Wire.data with
-       | Wire.Swap { r = _; q } ->
-         apply_swap t ~round ~swapped ~res:e.Wire.dst q
-           ~replica:(st = Transport.Delivered)
-       | _ -> ())
-    results
+(* Every decision is taken on the payloads rebuilt from the parsed
+   envelopes; the callbacks write the replicas and send the replies at
+   the points the protocol commits. *)
+let fabric t =
+  {
+    Local.exchange =
+      (fun msgs ->
+         msgs
+         |> List.map (fun m -> { m with Wire.payload = to_wire m.Wire.payload })
+         |> exchange t
+         |> List.map (fun ((e : Wire.env), st) ->
+             ({ e with Wire.payload = of_wire e.Wire.payload }, st)));
+    comm_rounds = (fun () -> Transport.comm_rounds t.transport);
+    accepted =
+      (fun ~res ~slot r ->
+         set_replica t ~res ~slot r;
+         respond t (Wire.Accept { q = r.Request.id; res; slot }));
+    rejected_full =
+      (fun ~res r -> respond t (Wire.Full { q = r.Request.id; res }));
+    (* the new owner's replica is pre-positioned at acknowledgment
+       time; a cancel can only bounce below capacity d, and replicas are
+       only read at end of round *)
+    probe_acked =
+      (fun ~res ~slot r ->
+         respond t (Wire.Ack { q = r.Request.id; res });
+         set_replica t ~res ~slot r);
+    rival_granted =
+      (fun ~res q -> respond t (Wire.Ack { q = q.Request.id; res }));
+    cancel_landed =
+      (fun ~res ~slot -> Node.free_slot (node_of t res) ~res ~round:slot);
+    swap_applied = (fun ~res ~slot q -> set_replica t ~res ~slot q);
+  }
 
 (* ------------------------------------------------------------------ *)
 (* the proxy-global baseline: probe both loads, assign the earliest *)
@@ -729,17 +377,17 @@ let free_slot_in_window t ~round ~res (r : Request.t) =
   let last = Request.last_round r in
   let rec scan slot =
     if slot > last then None
-    else if Slots.mem t.slots ~res ~round:slot then scan (slot + 1)
+    else if Slots.mem t.state.Local.slots ~res ~round:slot then scan (slot + 1)
     else Some slot
   in
   scan (max round r.Request.arrival)
 
-let proxy_tick t ~round =
+let proxy_tick t (f : Local.fabric) ~round =
   let unscheduled =
     Hashtbl.fold
       (fun id r acc ->
-         if Hashtbl.mem t.assigned id then acc else r :: acc)
-      t.active []
+         if Hashtbl.mem t.state.Local.assigned id then acc else r :: acc)
+      t.state.Local.active []
     |> List.sort (fun (a : Request.t) b ->
         let la = Request.last_round a and lb = Request.last_round b in
         if la <> lb then compare la lb else compare a.Request.id b.Request.id)
@@ -755,7 +403,7 @@ let proxy_tick t ~round =
                dst = res;
                deadline_key = Request.last_round q;
                tagged = false;
-               data = Wire.Loadq;
+               payload = Wire.Loadq;
              }))
       unscheduled
   in
@@ -765,7 +413,7 @@ let proxy_tick t ~round =
   List.iter
     (fun ((e : Wire.env), st) ->
        if st = Transport.Delivered then
-         match Hashtbl.find_opt t.active e.Wire.sender with
+         match Hashtbl.find_opt t.state.Local.active e.Wire.sender with
          | None -> ()
          | Some q ->
            (match free_slot_in_window t ~round ~res:e.Wire.dst q with
@@ -801,34 +449,23 @@ let proxy_tick t ~round =
                dst = res;
                deadline_key = Request.last_round q;
                tagged = false;
-               data = Wire.Assign (Wire.reqinfo_of_request q);
+               payload = Wire.Assign (Wire.reqinfo_of_request q);
              })
       unscheduled
   in
   let results = exchange t assigns in
   let ordered =
-    List.sort
-      (fun ((a : Wire.env), _) (b, _) ->
-         if a.Wire.deadline_key <> b.Wire.deadline_key then
-           compare a.Wire.deadline_key b.Wire.deadline_key
-         else compare a.Wire.sender b.Wire.sender)
-      results
+    List.sort (fun (a, _) (b, _) -> Local.by_deadline a b) results
   in
   List.iter
     (fun ((e : Wire.env), st) ->
-       if st = Transport.Delivered then
-         match e.Wire.data with
-         | Wire.Assign ri ->
-           let r = Wire.request_of_reqinfo ri in
-           (match try_accept t ~round e.Wire.dst r with
-            | Some slot ->
-              Node.set_slot (node_of t e.Wire.dst) ~res:e.Wire.dst
-                ~round:slot ri;
-              respond t
-                (Wire.Accept { q = ri.Wire.rid; res = e.Wire.dst; slot })
-            | None ->
-              respond t (Wire.Full { q = ri.Wire.rid; res = e.Wire.dst }))
-         | _ -> ())
+       match (st, e.Wire.payload) with
+       | Transport.Delivered, Wire.Assign ri ->
+         let r = Wire.request_of_reqinfo ri and res = e.Wire.dst in
+         (match Local.try_accept t.state ~round res r with
+          | Some slot -> f.Local.accepted ~res ~slot r
+          | None -> f.Local.rejected_full ~res r)
+       | _ -> ())
     ordered
 
 (* ------------------------------------------------------------------ *)
@@ -836,41 +473,43 @@ let proxy_tick t ~round =
 
 let step t =
   let round = t.round in
-  t.sched_rounds <- t.sched_rounds + 1;
-  let cr0 = Transport.comm_rounds t.transport in
-  ping_sweep t;
-  let expired = expire t ~round in
-  let arrivals = List.rev t.queue in
-  t.queue <- [];
-  List.iter
-    (fun (r : Request.t) ->
-       Hashtbl.replace t.active r.Request.id r;
-       t.requests_n <- t.requests_n + 1;
-       met t "cluster.requests";
-       if
-         Array.length r.Request.alternatives >= 2
-         && owner t r.Request.alternatives.(0)
-            <> owner t r.Request.alternatives.(1)
-       then begin
-         t.straddled_n <- t.straddled_n + 1;
-         met t "cluster.straddle"
-       end)
-    arrivals;
-  let readmits =
-    List.filter_map (fun id -> Hashtbl.find_opt t.active id) t.readmit
+  let st = t.state and f = fabric t in
+  let max0 = st.Local.max_cr in
+  let expired =
+    Local.metered st f (fun () ->
+        ping_sweep t;
+        let expired = Local.expire st ~round in
+        let arrivals = List.rev t.queue in
+        t.queue <- [];
+        List.iter
+          (fun (r : Request.t) ->
+             Hashtbl.replace st.Local.active r.Request.id r;
+             t.requests_n <- t.requests_n + 1;
+             met t "cluster.requests";
+             if
+               Array.length r.Request.alternatives >= 2
+               && owner t r.Request.alternatives.(0)
+                  <> owner t r.Request.alternatives.(1)
+             then begin
+               t.straddled_n <- t.straddled_n + 1;
+               met t "cluster.straddle"
+             end)
+          arrivals;
+        let readmits =
+          List.filter_map (fun id -> Hashtbl.find_opt st.Local.active id)
+            t.readmit
+        in
+        t.readmit <- [];
+        (match t.kind with
+         | Local_fix -> Local.fix_round st f ~round (readmits @ arrivals)
+         | Local_eager { compact } -> Local.eager_round st f ~compact ~round
+         | Proxy_global -> proxy_tick t f ~round);
+        expired)
   in
-  t.readmit <- [];
-  (match t.kind with
-   | Local_fix -> fix_tick t ~round (readmits @ arrivals)
-   | Local_eager { compact } -> eager_tick t ~compact ~round
-   | Proxy_global -> proxy_tick t ~round);
-  let cr = Transport.comm_rounds t.transport - cr0 in
-  if cr > t.max_cr then begin
-    t.max_cr <- cr;
-    match t.metrics with
-    | Some m -> Obs.Metrics.set_counter m "cluster.comm_rounds_max" t.max_cr
-    | None -> ()
-  end;
+  (match t.metrics with
+   | Some m when st.Local.max_cr > max0 ->
+     Obs.Metrics.set_counter m "cluster.comm_rounds_max" st.Local.max_cr
+   | Some _ | None -> ());
   let served = collect_serves t ~round in
   t.served_n <- t.served_n + List.length served;
   met ~by:(List.length served) t "cluster.served";
@@ -881,9 +520,9 @@ let step t =
 
 let stats t =
   {
-    scheduling_rounds = t.sched_rounds;
+    scheduling_rounds = t.state.Local.sched_rounds;
     comm_rounds_total = Transport.comm_rounds t.transport;
-    comm_rounds_max = t.max_cr;
+    comm_rounds_max = t.state.Local.max_cr;
     messages = Transport.messages t.transport;
     bounced = Transport.bounced t.transport;
     dropped_dead = Transport.dropped_dead t.transport;

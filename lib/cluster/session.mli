@@ -9,17 +9,21 @@
     guarantee and 2-round budget (Thm 3.7) and [A_local_eager] its
     9-round budget (Thm 3.8) on the live path, measured, not assumed.
 
-    Decision authority is the router's mirror: the same slot table,
-    assignment map and acceptance rule as {!Localstrat.Local}, advanced
-    {e only} by delivered messages.  Two consequences the test-suite
-    pins: the served set is identical to the single-process simulator
-    on any failure-free schedule (decision parity), and identical
-    across node layouts (placement only chooses which replica hosts a
-    slot, never what the protocol decides) — which is what makes
-    [--manual] replay byte-identical across cluster shapes.  Node
-    replicas hold the request payloads, report the end-of-round serves
-    (disagreements with the mirror are counted, never silently served)
-    and carry the state that is genuinely lost on {!kill}.
+    The local strategies are {!Localstrat.Local}'s protocol rounds,
+    run over a cluster fabric: the {!Transport} is the exchange (each
+    payload rebuilt from its parsed wire line, so decisions follow
+    delivered bytes only), and the fabric's event callbacks write node
+    replicas and send reply lines.  The decision state is the
+    protocol's own {!Localstrat.Local.state}.  Two consequences the
+    test-suite pins: the served set is identical to the single-process
+    simulator on any failure-free schedule (decision parity), and
+    identical across node layouts (placement only chooses which
+    replica hosts a slot, never what the protocol decides) — which is
+    what makes [--manual] replay byte-identical across cluster shapes.
+    Node replicas hold the request payloads, report the end-of-round
+    serves (disagreements with the decision state are counted, never
+    silently served) and carry the state that is genuinely lost on
+    {!kill}.
 
     Failure handling: the router pings every node each round; after
     [fail_after] consecutive missed pongs the node is declared dead,
@@ -59,7 +63,7 @@ type stats = {
   failovers : int;
   handoffs : int;          (** handoff messages sent on rejoins *)
   handoff_slots : int;
-  serve_conflicts : int;   (** mirror/replica disagreements; 0 unless a
+  serve_conflicts : int;   (** decision/replica disagreements; 0 unless a
                                node lost state the router had not yet
                                detected *)
 }

@@ -6,7 +6,7 @@
 
 module Budget = Distnet.Budget
 
-type status = Delivered | Bounced | Dead
+type status = Localstrat.Local.status = Delivered | Bounced | Dead
 
 type t = {
   n : int;

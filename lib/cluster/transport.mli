@@ -23,10 +23,13 @@
     [cluster.dropped_dead], [cluster.replies], [cluster.ctrl_msgs])
     for telemetry. *)
 
-type status =
+type status = Localstrat.Local.status =
   | Delivered
   | Bounced  (** lost the LDF capacity contest; sender notified *)
   | Dead     (** destination resource hosted on a dead node *)
+(** The local-strategy protocol's message status, so this transport is
+    directly a {!Localstrat.Local.fabric} exchange once payloads are
+    mapped. *)
 
 type t
 

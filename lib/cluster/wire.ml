@@ -31,13 +31,15 @@ type data =
   | Loadq
   | Assign of reqinfo
 
-type env = {
+type 'a message = 'a Distnet.Net.message = {
   sender : int;
   dst : int;
   deadline_key : int;
   tagged : bool;
-  data : data;
+  payload : 'a;
 }
+
+type env = data message
 
 type reply =
   | Accept of { q : int; res : int; slot : int }
@@ -54,9 +56,6 @@ type control =
   | Handoff of { res : int; slots : (int * reqinfo) list }
 
 type t = Data of env | Reply of reply | Control of control
-
-let data_env ~sender ~dst ~deadline_key ?(tagged = false) data =
-  Data { sender; dst; deadline_key; tagged; data }
 
 let reqinfo_of_request (r : Request.t) =
   {
@@ -88,7 +87,7 @@ let render_env_header keyword e =
     (if e.tagged then 't' else 'u')
 
 let render_data e =
-  match e.data with
+  match e.payload with
   | Offer ri -> render_env_header "offer" e ^ " " ^ render_reqinfo ri
   | Probe ri -> render_env_header "probe" e ^ " " ^ render_reqinfo ri
   | Cancel { q; old_res; old_t } ->
@@ -163,8 +162,8 @@ let parse_env rest ~payload =
     let* dst = int_field ~what:"destination" dst_s in
     let* deadline_key = parse_key key_s in
     let* tagged = parse_tag tag_s in
-    let* data = payload payload_fields in
-    Ok (Data { sender; dst; deadline_key; tagged; data })
+    let* payload = payload payload_fields in
+    Ok (Data { sender; dst; deadline_key; tagged; payload })
   | _ -> Error "truncated envelope"
 
 let reqinfo_payload ~what wrap fields =

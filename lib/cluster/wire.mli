@@ -62,13 +62,19 @@ type data =
   | Loadq                          (** proxy: query earliest free slot *)
   | Assign of reqinfo              (** proxy: claim a slot *)
 
-type env = {
+type 'a message = 'a Distnet.Net.message = {
   sender : int;       (** request id (LDF tie-break key) *)
   dst : int;          (** global resource id *)
   deadline_key : int; (** LDF key; [max_int] renders as ["inf"] *)
   tagged : bool;      (** bypasses the capacity cut (swap notifications) *)
-  data : data;
+  payload : 'a;
 }
+(** {!Distnet.Net}'s envelope, re-exported so its fields read as
+    [Wire.sender] etc. *)
+
+type env = data message
+(** A data message: the envelope the simulator's network carries, with
+    a wire payload. *)
 
 type reply =
   | Accept of { q : int; res : int; slot : int }
@@ -95,10 +101,6 @@ val render : t -> string
 val parse : string -> (t, string) result
 (** Inverse of {!render}; rejects oversize lines, unknown keywords,
     malformed fields and version mismatches. *)
-
-val data_env :
-  sender:int -> dst:int -> deadline_key:int -> ?tagged:bool -> data -> t
-(** Envelope helper; [tagged] defaults to [false]. *)
 
 val reqinfo_of_request : Sched.Request.t -> reqinfo
 val request_of_reqinfo : reqinfo -> Sched.Request.t

@@ -1,9 +1,9 @@
 (* The slot table a resource keeps under the local protocols: one
    occupant per (resource, round), with the maximal acceptance rule of
    Sec. 3.2 — a request is accepted into the earliest free slot of its
-   window.  Shared between the simulator-driven protocol state
-   (Local.state) and the live cluster's router mirror / node replicas,
-   so both paths schedule with the same rule. *)
+   window.  Shared by the protocol's decision state (Local.state, on
+   both fabrics) and the live cluster's node replicas, so every path
+   schedules with the same rule. *)
 
 type 'a t = (int * int, 'a) Hashtbl.t
 

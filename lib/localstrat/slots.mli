@@ -3,9 +3,9 @@
     Carries the maximal acceptance rule the paper's local strategies
     use (a resource accepts a request into the {e earliest} free slot
     inside the request's window).  One implementation serves both the
-    simulator-driven protocol state ({!Local}) and the live cluster's
-    router mirror and per-node replicas, so simulation and live serving
-    cannot disagree on the accept rule. *)
+    protocol's decision state ({!Local.state}, simulated or live) and
+    the live cluster's per-node replicas, so simulation and live
+    serving cannot disagree on the accept rule. *)
 
 type 'a t
 

@@ -4,14 +4,14 @@
    live engine) used to thread per-request state through OCaml records,
    lists and hashtables — every request costs a handful of minor-heap
    allocations, and on worker domains the minor GC is a shared tax.
-   Everything here lives off the OCaml heap in Bigarrays: ints and
-   floats only, indexed by integer slot, zero allocation per operation
-   once the arena has grown to its working size.
+   Everything here lives off the OCaml heap in Bigarrays: ints only,
+   indexed by integer slot, zero allocation per operation once the
+   arena has grown to its working size.
 
    Lifetime rules (see DESIGN.md §4.13):
-   - [Iarr]/[Farr] are growable flat scratch: no ownership, [ensure]
-     then index. Grown storage preserves existing contents; fresh cells
-     are uninitialised (use [fill] first if the algorithm reads before
+   - [Iarr] is growable flat scratch: no ownership, [ensure] then
+     index. Grown storage preserves existing contents; fresh cells are
+     uninitialised (use [fill] first if the algorithm reads before
      writing).
    - [Ints] is a slotted arena with free-list recycling: [alloc] hands
      out a slot of [width] ints, [free] recycles it. Freed slots reuse
@@ -26,10 +26,8 @@
 module A1 = Bigarray.Array1
 
 type ints_ba = (int, Bigarray.int_elt, Bigarray.c_layout) A1.t
-type floats_ba = (float, Bigarray.float64_elt, Bigarray.c_layout) A1.t
 
 let make_ints n : ints_ba = A1.create Bigarray.int Bigarray.c_layout n
-let make_floats n : floats_ba = A1.create Bigarray.float64 Bigarray.c_layout n
 
 (* Growable flat int scratch. *)
 module Iarr = struct
@@ -48,37 +46,6 @@ module Iarr = struct
         cap := !cap * 2
       done;
       let data = make_ints !cap in
-      A1.blit t.data (A1.sub data 0 t.cap);
-      t.data <- data;
-      t.cap <- !cap
-    end
-
-  let get t i = A1.get t.data i
-  let set t i v = A1.set t.data i v
-  let uget t i = A1.unsafe_get t.data i
-  let uset t i v = A1.unsafe_set t.data i v
-
-  let fill t ~pos ~len v =
-    if len > 0 then A1.fill (A1.sub t.data pos len) v
-end
-
-(* Growable flat float scratch. *)
-module Farr = struct
-  type t = { mutable data : floats_ba; mutable cap : int }
-
-  let create ?(capacity = 16) () =
-    let cap = max 1 capacity in
-    { data = make_floats cap; cap }
-
-  let capacity t = t.cap
-
-  let ensure t n =
-    if n > t.cap then begin
-      let cap = ref (max 16 t.cap) in
-      while !cap < n do
-        cap := !cap * 2
-      done;
-      let data = make_floats !cap in
       A1.blit t.data (A1.sub data 0 t.cap);
       t.data <- data;
       t.cap <- !cap

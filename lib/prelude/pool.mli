@@ -22,20 +22,6 @@ module Iarr : sig
   val fill : t -> pos:int -> len:int -> int -> unit
 end
 
-(** Growable flat float scratch; same contract as {!Iarr}. *)
-module Farr : sig
-  type t
-
-  val create : ?capacity:int -> unit -> t
-  val capacity : t -> int
-  val ensure : t -> int -> unit
-  val get : t -> int -> float
-  val set : t -> int -> float -> unit
-  val uget : t -> int -> float
-  val uset : t -> int -> float -> unit
-  val fill : t -> pos:int -> len:int -> float -> unit
-end
-
 (** Slotted int arena with free-list recycling.  Each slot is [width]
     ints.  [free] threads the free list through field 0 of the slot, so
     freed slots lose field 0; double-free is undetected. *)

@@ -111,7 +111,7 @@ let env_gen data tagged =
     map
       (fun (sender, dst, key) ->
          let deadline_key = if key = 0 then max_int else key in
-         Wire.Data { Wire.sender; dst; deadline_key; tagged; data })
+         Wire.Data { Wire.sender; dst; deadline_key; tagged; payload = data })
       (tup3 (int_range 0 9999) (int_range 0 99) (int_range 0 2000)))
 
 let wire_gen =
@@ -243,7 +243,7 @@ let test_net_transport_parity =
                 dst;
                 deadline_key = deadline;
                 tagged;
-                data =
+                payload =
                   Wire.Offer
                     {
                       Wire.rid = sender;
@@ -272,7 +272,7 @@ let test_transport_dead_node_bounces () =
       dst;
       deadline_key = 5;
       tagged = false;
-      data = Wire.Loadq;
+      payload = Wire.Loadq;
     }
   in
   let results =
@@ -313,23 +313,39 @@ let outcomes_equal ~what (a : Outcome.t) (b : Outcome.t) =
     a.Outcome.served_at
 
 let test_cluster_matches_local () =
+  (* random load without tie-break priority, plus the Thm 3.7 adversary
+     with its favoured/victim priority threaded through both fabrics *)
+  let inputs =
+    List.map
+      (fun seed ->
+         ( Printf.sprintf "seed=%d" seed,
+           random_instance ~n:9 ~d:4 ~rounds:40 ~load:1.5 ~seed,
+           None ))
+      [ 3; 17 ]
+    @ List.map
+        (fun d ->
+           let sc, priority = Adversary.Thm37.make ~d ~intervals:6 in
+           ( Printf.sprintf "thm37 d=%d" d,
+             sc.Adversary.Scenario.instance,
+             Some priority ))
+        [ 2; 4; 6 ]
+  in
   List.iter
     (fun (name, local_factory, strategy) ->
        List.iter
-         (fun seed ->
-            let inst = random_instance ~n:9 ~d:4 ~rounds:40 ~load:1.5 ~seed in
-            let reference = Engine.run inst local_factory in
+         (fun (input, inst, priority) ->
+            let reference = Engine.run inst (local_factory ?priority ()) in
             List.iter
               (fun nodes ->
                  let captured = ref None in
                  let o =
                    Engine.run inst
-                     (Session.factory
+                     (Session.factory ?priority
                         ~on_create:(fun s -> captured := Some s)
                         ~strategy ~nodes ())
                  in
                  outcomes_equal
-                   ~what:(Printf.sprintf "%s seed=%d nodes=%d" name seed nodes)
+                   ~what:(Printf.sprintf "%s %s nodes=%d" name input nodes)
                    reference o;
                  check Alcotest.bool "consistent" true
                    (Outcome.is_consistent o);
@@ -341,12 +357,16 @@ let test_cluster_matches_local () =
                         nodes)
                      0 (Session.stats s).Session.serve_conflicts)
               [ 1; 2; 3; 5 ])
-         [ 3; 17 ])
+         inputs)
     [
-      ("fix", Local.fix (), Session.Local_fix);
-      ("eager", Local.eager (), Session.Local_eager { compact = false });
+      ( "fix",
+        (fun ?priority () -> Local.fix ?priority ()),
+        Session.Local_fix );
+      ( "eager",
+        (fun ?priority () -> Local.eager ?priority ()),
+        Session.Local_eager { compact = false } );
       ( "eager_compact",
-        Local.eager ~compact:true (),
+        (fun ?priority () -> Local.eager ~compact:true ?priority ()),
         Session.Local_eager { compact = true } );
     ]
 
@@ -434,19 +454,19 @@ let test_proxy_global_baseline () =
 (* Drive a session directly under streaming load, crash one node
    mid-run, rejoin it later, and account for every admitted request:
    exactly one terminal outcome each, every serve inside the request's
-   original window. *)
-let test_kill_and_rejoin_loses_no_terminal () =
+   original window.  Runs under every strategy kind; only the fix
+   protocol's schedule is pinned to readmit and hand slots back. *)
+let kill_and_rejoin strategy =
+  let name = Session.kind_name strategy in
   let n = 12 and d = 6 and nodes = 3 in
-  let session =
-    Session.create ~strategy:Session.Local_fix ~nodes ~n ~d ()
-  in
+  let session = Session.create ~strategy ~nodes ~n ~d () in
   let rng = Rng.create ~seed:42 in
   let windows = Hashtbl.create 512 in (* id -> (arrival, last_round) *)
   let terminals = Hashtbl.create 512 in
   let record_terminal id what round =
     (match Hashtbl.find_opt terminals id with
      | Some prev ->
-       Alcotest.failf "request %d got %s after %s" id what prev
+       Alcotest.failf "%s: request %d got %s after %s" name id what prev
      | None -> ());
     Hashtbl.replace terminals id (Printf.sprintf "%s@%d" what round)
   in
@@ -472,32 +492,47 @@ let test_kill_and_rejoin_loses_no_terminal () =
          let arrival, last = Hashtbl.find windows id in
          if round < arrival || round > last then
            Alcotest.failf
-             "request %d served at %d outside its original window %d..%d"
-             id round arrival last;
+             "%s: request %d served at %d outside its original window %d..%d"
+             name id round arrival last;
          if res < 0 || res >= n then Alcotest.failf "bad resource %d" res)
       out.Session.served;
     List.iter (fun id -> record_terminal id "expired" round) out.Session.expired
   done;
-  check Alcotest.int "session drained" 0 (Session.pending session);
+  let what = Printf.sprintf "%s: %s" name in
+  check Alcotest.int (what "session drained") 0 (Session.pending session);
   Hashtbl.iter
     (fun id _ ->
        if not (Hashtbl.mem terminals id) then
-         Alcotest.failf "request %d has no terminal outcome" id)
+         Alcotest.failf "%s: request %d has no terminal outcome" name id)
     windows;
-  check Alcotest.int "no extra terminals" (Hashtbl.length windows)
+  check Alcotest.int (what "no extra terminals") (Hashtbl.length windows)
     (Hashtbl.length terminals);
   let s = Session.stats session in
-  check Alcotest.int "one failover" 1 s.Session.failovers;
-  check Alcotest.bool "failover readmitted survivors" true
-    (s.Session.readmitted > 0);
-  check Alcotest.bool "rejoin handed future slots over" true
-    (s.Session.handoff_slots > 0);
-  check Alcotest.bool "rejoined node is alive" true
+  check Alcotest.int (what "one failover") 1 s.Session.failovers;
+  check Alcotest.bool (what "messages died with the node") true
+    (s.Session.dropped_dead > 0);
+  check Alcotest.int (what "no serve conflicts") 0 s.Session.serve_conflicts;
+  if strategy = Session.Local_fix then begin
+    check Alcotest.bool (what "failover readmitted survivors") true
+      (s.Session.readmitted > 0);
+    check Alcotest.bool (what "rejoin handed future slots over") true
+      (s.Session.handoff_slots > 0)
+  end;
+  check Alcotest.bool (what "rejoined node is alive") true
     (Session.node_alive session victim);
-  check Alcotest.bool "some requests straddled nodes" true
+  check Alcotest.bool (what "some requests straddled nodes") true
     (s.Session.straddled > 0);
-  check Alcotest.int "terminal conservation" s.Session.requests
+  check Alcotest.int (what "terminal conservation") s.Session.requests
     (s.Session.served + s.Session.expired)
+
+let test_kill_and_rejoin_loses_no_terminal () =
+  List.iter kill_and_rejoin
+    [
+      Session.Local_fix;
+      Session.Local_eager { compact = false };
+      Session.Local_eager { compact = true };
+      Session.Proxy_global;
+    ]
 
 let test_layout_invariance_standalone () =
   (* the same submission schedule gives identical outcome sequences on

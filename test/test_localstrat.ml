@@ -1,12 +1,15 @@
 (* Tests for the local (distributed) strategies: communication-round
    budgets, the Theorem 3.7 worst case, the 5/3 bound of Theorem 3.8,
-   and structural invariants shared with the global strategies. *)
+   structural invariants shared with the global strategies, and the
+   fabric status contract. *)
 
 module Request = Sched.Request
 module Instance = Sched.Instance
 module Engine = Sched.Engine
 module Outcome = Sched.Outcome
 module Local = Localstrat.Local
+module Slots = Localstrat.Slots
+module Net = Distnet.Net
 module Rng = Prelude.Rng
 
 let check = Alcotest.check
@@ -254,6 +257,115 @@ let prop_local_comm_budgets =
         (fix_stats ()).Local.comm_rounds_max <= 2
         && (eager_stats ()).Local.comm_rounds_max <= 9)
 
+(* ------------------------------------------------------------------ *)
+(* the fabric status contract, pinned with a scripted fabric *)
+
+(* Neither real fabric can bounce a cancel at capacity >= d, and the
+   simulator never reports [Dead], so only a scripted fabric reaches
+   these paths: [fate] decides each message's status by payload, and
+   the callbacks a live fabric uses for replica writes are counted. *)
+type calls = { mutable landed : int; mutable swaps : int; mutable grants : int }
+
+let scripted fate =
+  let calls = { landed = 0; swaps = 0; grants = 0 } in
+  let f =
+    Local.fabric
+      ~exchange:(List.map (fun m -> (m, fate m.Net.payload)))
+      ~comm_rounds:(fun () -> 0)
+  in
+  ( {
+      f with
+      Local.cancel_landed =
+        (fun ~res:_ ~slot:_ -> calls.landed <- calls.landed + 1);
+      swap_applied = (fun ~res:_ ~slot:_ _ -> calls.swaps <- calls.swaps + 1);
+      rival_granted = (fun ~res:_ _ -> calls.grants <- calls.grants + 1);
+    },
+    calls )
+
+let admit st res r =
+  Hashtbl.replace st.Local.active r.Request.id r;
+  ignore (Local.try_accept st ~round:0 res r)
+
+let request id ~alts ~deadline =
+  Request.with_id (Request.make ~arrival:0 ~alternatives:alts ~deadline) id
+
+let slot_of st id = Hashtbl.find_opt st.Local.assigned id
+
+(* Request 2 (alternatives 0, 1) waits in slot 2 of resource 0 behind
+   two requests that cannot move; resource 1 is free now, so phase 2
+   acknowledges the move and its cancel decides it. *)
+let run_move cancel_fate =
+  let st = Local.create_state ~n:2 in
+  admit st 0 (request 0 ~alts:[ 0 ] ~deadline:3);
+  admit st 0 (request 1 ~alts:[ 0 ] ~deadline:3);
+  admit st 0 (request 2 ~alts:[ 0; 1 ] ~deadline:3);
+  let f, calls =
+    scripted (function Local.Cancel _ -> cancel_fate | _ -> Local.Delivered)
+  in
+  Local.eager_round st f ~compact:false ~round:0;
+  (st, calls)
+
+let test_bounced_cancel_aborts_move () =
+  let st, calls = run_move Local.Bounced in
+  check Alcotest.(option (pair int int)) "mover keeps its old slot"
+    (Some (0, 2)) (slot_of st 2);
+  check Alcotest.(option int) "old slot still held" (Some 2)
+    (Slots.find st.Local.slots ~res:0 ~round:2);
+  check Alcotest.(option int) "acknowledging resource idles" None
+    (Slots.find st.Local.slots ~res:1 ~round:0);
+  check Alcotest.int "nothing landed" 0 calls.landed
+
+let test_dead_cancel_commits_move () =
+  List.iter
+    (fun (fate, landed) ->
+       let st, calls = run_move fate in
+       check Alcotest.(option (pair int int)) "mover moved" (Some (1, 0))
+         (slot_of st 2);
+       check Alcotest.(option int) "old slot released" None
+         (Slots.find st.Local.slots ~res:0 ~round:2);
+       check Alcotest.int "cancel_landed only when delivered" landed
+         calls.landed)
+    [ (Local.Dead, 0); (Local.Delivered, 1) ]
+
+(* Request 0 (alternatives 0, 1) holds resource 0's current slot and
+   request 1 resource 2's; request 2 (alternatives 0, 2, deadline 1)
+   finds both full, so phase 3 re-homes request 0 onto resource 1 and
+   hands resource 0's slot to request 2 with a tagged swap. *)
+let run_swap fate =
+  let st = Local.create_state ~n:3 in
+  admit st 0 (request 0 ~alts:[ 0; 1 ] ~deadline:2);
+  admit st 2 (request 1 ~alts:[ 2 ] ~deadline:1);
+  let q = request 2 ~alts:[ 0; 2 ] ~deadline:1 in
+  Hashtbl.replace st.Local.active q.Request.id q;
+  let f, calls = scripted fate in
+  Local.eager_round st f ~compact:false ~round:0;
+  (st, calls)
+
+let test_dead_swap_skips_replica () =
+  List.iter
+    (fun (swap_fate, swaps) ->
+       let st, calls =
+         run_swap (function Local.Swap _ -> swap_fate | _ -> Local.Delivered)
+       in
+       check Alcotest.(option (pair int int)) "rescuer takes the slot"
+         (Some (0, 0)) (slot_of st 2);
+       check Alcotest.(option (pair int int)) "occupant re-homed"
+         (Some (1, 0)) (slot_of st 0);
+       check Alcotest.int "swap_applied only when delivered" swaps calls.swaps)
+    [ (Local.Dead, 0); (Local.Delivered, 1) ]
+
+let test_rival_grant_needs_delivery () =
+  let st, calls =
+    run_swap (function Local.Rival _ -> Local.Dead | _ -> Local.Delivered)
+  in
+  check Alcotest.int "no grant" 0 calls.grants;
+  check Alcotest.(option (pair int int)) "rescuer stays unscheduled" None
+    (slot_of st 2);
+  check Alcotest.(option (pair int int)) "occupant stays" (Some (0, 0))
+    (slot_of st 0);
+  let _, calls = run_swap (fun _ -> Local.Delivered) in
+  check Alcotest.int "delivered rival is granted" 1 calls.grants
+
 let () =
   Alcotest.run "localstrat"
     [
@@ -280,6 +392,17 @@ let () =
         [
           Alcotest.test_case "thm 3.7 exact" `Quick
             test_thm37_exactly_two_competitive;
+        ] );
+      ( "fabric",
+        [
+          Alcotest.test_case "bounced cancel aborts the move" `Quick
+            test_bounced_cancel_aborts_move;
+          Alcotest.test_case "dead cancel commits the move" `Quick
+            test_dead_cancel_commits_move;
+          Alcotest.test_case "dead swap skips the replica" `Quick
+            test_dead_swap_skips_replica;
+          Alcotest.test_case "rival grant needs delivery" `Quick
+            test_rival_grant_needs_delivery;
         ] );
       ( "properties",
         [

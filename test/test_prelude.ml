@@ -471,14 +471,6 @@ let test_pool_iarr_grow_preserves () =
   Pool.Iarr.fill a ~pos:4 ~len:996 (-1);
   check Alcotest.int "fill wrote" (-1) (Pool.Iarr.get a 999)
 
-let test_pool_farr_grow_preserves () =
-  let a = Pool.Farr.create ~capacity:2 () in
-  Pool.Farr.set a 0 3.25;
-  Pool.Farr.set a 1 (-1.5);
-  Pool.Farr.ensure a 64;
-  check (Alcotest.float 0.0) "f0" 3.25 (Pool.Farr.get a 0);
-  check (Alcotest.float 0.0) "f1" (-1.5) (Pool.Farr.get a 1)
-
 let test_pool_ints_alloc_free_recycle () =
   let p = Pool.Ints.create ~capacity:2 ~width:3 () in
   let s0 = Pool.Ints.alloc p and s1 = Pool.Ints.alloc p in
@@ -694,8 +686,6 @@ let () =
         [
           Alcotest.test_case "iarr grow preserves" `Quick
             test_pool_iarr_grow_preserves;
-          Alcotest.test_case "farr grow preserves" `Quick
-            test_pool_farr_grow_preserves;
           Alcotest.test_case "ints alloc/free recycle" `Quick
             test_pool_ints_alloc_free_recycle;
           prop_pool_ints_like_naive;
