@@ -806,7 +806,8 @@ let serve_cmd =
   in
   let queue_cap_arg =
     let doc =
-      "Per-shard admission queue bound; a full queue rejects with \
+      "Per-shard admission queue bound, at most 65536 (the queue is \
+       allocated at full size); a full queue rejects with \
        $(b,overload) instead of buffering without limit."
     in
     Arg.(value & opt int 1024 & info [ "queue-cap" ] ~docv:"N" ~doc)
@@ -820,7 +821,8 @@ let serve_cmd =
   in
   let outbox_cap_arg =
     let doc =
-      "Per-shard reply ring bound; a full ring stalls that shard with \
+      "Per-shard reply ring bound, at most 65536 (the ring is \
+       allocated at full size); a full ring stalls that shard with \
        backpressure (counted as serve.outbox_stalls), never drops a \
        reply."
     in

@@ -5,11 +5,10 @@ let strategy_names =
     "greedy_firstfit";
   ]
 
-let solver_names = [ "kernel"; "kernel-ring"; "rebuild" ]
+let solver_names = [ "kernel"; "rebuild" ]
 
 let solver_of_name = function
   | "kernel" -> Ok Strategies.Global.Kernel
-  | "kernel-ring" -> Ok Strategies.Global.Kernel_ring
   | "rebuild" -> Ok Strategies.Global.Rebuild
   | other -> Error (Printf.sprintf "unknown solver %S" other)
 

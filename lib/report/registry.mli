@@ -12,8 +12,7 @@ val strategy_names : string list
 (** Every name {!factory_of_name} accepts, in display order. *)
 
 val solver_names : string list
-(** Solver names {!solver_of_name} accepts
-    (["kernel"; "kernel-ring"; "rebuild"]). *)
+(** Solver names {!solver_of_name} accepts (["kernel"; "rebuild"]). *)
 
 val solver_of_name : string -> (Strategies.Global.solver, string) result
 (** ["kernel"] is the warm-start incremental kernel (the default

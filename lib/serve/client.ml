@@ -28,6 +28,8 @@ let send t msg =
   | exception Unix.Unix_error (e, _, _) ->
     Error (Printf.sprintf "send failed: %s" (Unix.error_message e))
 
+let closed_by_server = "connection closed by server"
+
 (* Next server message.  [timeout] bounds the whole wait; [Ok None]
    means it elapsed (not an error — pacing loops poll). *)
 let recv_opt ?(timeout = 10.0) t =
@@ -48,7 +50,7 @@ let recv_opt ?(timeout = 10.0) t =
         | [], _, _ -> next ()
         | _ ->
           (match Unix.read t.fd scratch 0 (Bytes.length scratch) with
-           | 0 -> Error "connection closed by server"
+           | 0 -> Error closed_by_server
            | n ->
              Buffer.add_subbytes t.inq scratch 0 n;
              t.lines <- t.lines @ Lineio.extract_lines t.inq;
@@ -242,6 +244,25 @@ let drain_until conn tr ~budget ~what ~stop =
   in
   go ()
 
+(* Send [bye] and wait for the server to hang up.  The server closes a
+   connection only after it has read [bye], so on return every line this
+   client sent has been counted — a drain started next cannot race the
+   goodbye.  Messages still in flight are ignored. *)
+let say_bye conn =
+  let* () = send conn Protocol.Bye in
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  let rec wait () =
+    let remaining = deadline -. Unix.gettimeofday () in
+    if remaining <= 0.0 then
+      Error "timed out waiting for the server to close after bye"
+    else
+      match recv_opt ~timeout:remaining conn with
+      | Error m when m = closed_by_server -> Ok ()
+      | Error _ as e -> e
+      | Ok _ -> wait ()
+  in
+  wait ()
+
 let request_fields (r : Sched.Request.t) =
   (Array.to_list r.Sched.Request.alternatives, r.Sched.Request.deadline)
 
@@ -338,17 +359,14 @@ let open_loop ~addr ~(inst : Sched.Instance.t) ~tick ?(batch = 1)
       in
       (* All arrivals are in; every admitted request resolves within d
          more rounds, so just collect until each tag has its terminal. *)
-      let* () =
-        drain_until conn tr ~budget:30.0
-          ~what:(fun () ->
-            Printf.sprintf "%d terminal responses (got %d)" total
-              tr.terminals)
-          ~stop:(fun () -> tr.terminals >= total)
-      in
-      let* () = send conn Protocol.Bye in
-      Ok ()
+      drain_until conn tr ~budget:30.0
+        ~what:(fun () ->
+          Printf.sprintf "%d terminal responses (got %d)" total tr.terminals)
+        ~stop:(fun () -> tr.terminals >= total)
     in
+    (* the run ends at the last terminal, not at the goodbye *)
     let duration = Unix.gettimeofday () -. t0 in
+    let result = Result.bind result (fun () -> say_bye conn) in
     close conn;
     (match result with
      | Error m -> Error m
@@ -426,11 +444,10 @@ let closed_loop ~addr ~(inst : Sched.Instance.t) ~users ~total
               let* () = submit_up_to !fresh in
               serve ()
         in
-        let* () = serve () in
-        let* () = send conn Protocol.Bye in
-        Ok ()
+        serve ()
       in
       let duration = Unix.gettimeofday () -. t0 in
+      let result = Result.bind result (fun () -> say_bye conn) in
       close conn;
       (match result with
        | Error m -> Error m

@@ -66,7 +66,9 @@ val open_loop :
     [batch]-long wire batches, preserving submission order — in manual
     mode decisions are byte-identical for every batch size.  Succeeds
     only once {e every} submitted tag has exactly one terminal
-    response. *)
+    response and the server has closed the connection after the
+    closing [bye] (so the server has read every line sent; waiting for
+    the close is bounded by 10 s and not part of [duration]). *)
 
 val closed_loop :
   addr:Server.addr ->
@@ -83,7 +85,8 @@ val closed_loop :
     for alternatives/deadlines.  Tags are submission indices.
     [batch] (default 1) groups refills: buffered terminals are
     absorbed together and the freed slots resubmitted as one wire
-    batch of at most [batch] requests. *)
+    batch of at most [batch] requests.  Ends with the same [bye]
+    handshake as {!open_loop}. *)
 
 val render_decisions : report -> string
 (** One line per tag, sorted: ["t<tag> sched@<round> S<res>" | "t<tag>

@@ -220,7 +220,7 @@ let io_loop t =
         else reject conn ~tag Protocol.Overload "serve.rejected.overload"
   in
   (* A batch line: validate every entry, then push each shard's share
-     with one grouped [try_admit_many] — one lock acquisition per shard
+     with one grouped [try_admit_many] — one ring publication per shard
      touched instead of one per request.  Submission order is preserved
      within each shard, so a batched run makes the same decisions as the
      same requests submitted line by line. *)
@@ -531,12 +531,19 @@ let io_loop t =
 (* ------------------------------------------------------------------ *)
 (* lifecycle *)
 
+let capacity_ok c = c >= 1 && c <= Chan.max_capacity
+
+let capacity_error field =
+  Printf.sprintf "%s must be in 1..%d" field Chan.max_capacity
+
 let start ?metrics cfg =
   if cfg.n_resources < 1 then Error "n_resources must be >= 1"
   else if cfg.d < 1 then Error "d must be >= 1"
-  else if cfg.queue_capacity < 1 then Error "queue_capacity must be >= 1"
+  else if not (capacity_ok cfg.queue_capacity) then
+    Error (capacity_error "queue_capacity")
   else if cfg.max_batch < 1 then Error "max_batch must be >= 1"
-  else if cfg.outbox_capacity < 1 then Error "outbox_capacity must be >= 1"
+  else if not (capacity_ok cfg.outbox_capacity) then
+    Error (capacity_error "outbox_capacity")
   else begin
     let metrics = Obs.Metrics.resolve metrics in
     let shards_n = max 1 (min cfg.shards cfg.n_resources) in
@@ -548,15 +555,11 @@ let start ?metrics cfg =
     | Ok listen_fd ->
       Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
       (* each outbox has exactly one producer (the owning worker) and
-         one consumer (the I/O domain): SPSC unless the capacity makes
-         eager allocation unreasonable *)
+         one consumer (the I/O domain) *)
       let dummy_reply = (-1, Protocol.Error { message = "" }) in
       let outboxes =
         Array.init shards_n (fun _ ->
-            if cfg.outbox_capacity <= 65536 then
-              Chan.create_spsc ~capacity:cfg.outbox_capacity
-                ~dummy:dummy_reply
-            else Chan.create ~capacity:cfg.outbox_capacity)
+            Chan.create_spsc ~capacity:cfg.outbox_capacity ~dummy:dummy_reply)
       in
       let shards =
         Array.init shards_n (fun i ->

@@ -12,8 +12,9 @@
     immediate, explicit [overload] reject, never a silent drop.  A
     [batch] wire line is admitted with one grouped inbox push per shard
     touched, and replies flow back through per-shard outbox rings the
-    I/O domain merge-flushes every iteration; the reply path therefore
-    costs one lock acquisition per shard per direction per loop, not
+    I/O domain merge-flushes every iteration.  Both are lock-free
+    single-producer/single-consumer {!Chan} rings, so the reply path
+    costs one atomic publication per shard per direction per loop, not
     one per message.
 
     Failure isolation: client-side failures (EPIPE, ECONNRESET, abrupt
@@ -56,10 +57,12 @@ type config = {
       (** [`Every dt]: a round every [dt] seconds (real time).
           [`Manual]: rounds advance on wire [tick] messages (logical
           time — what deterministic replay uses). *)
-  queue_capacity : int;    (** per-shard inbox bound (admission control) *)
+  queue_capacity : int;    (** per-shard inbox bound (admission
+                               control), in [1 .. Chan.max_capacity] *)
   max_batch : int;         (** longest [batch] line accepted; longer
                                batches are rejected as invalid *)
-  outbox_capacity : int;   (** per-shard reply ring bound; a full ring
+  outbox_capacity : int;   (** per-shard reply ring bound, in
+                               [1 .. Chan.max_capacity]; a full ring
                                stalls the shard with backpressure
                                ([serve.outbox_stalls]) — replies are
                                never dropped *)
@@ -75,7 +78,8 @@ val start : ?metrics:Obs.Metrics.t -> config -> (t, string) result
     socket is ready when this returns.  [metrics] (or the ambient
     registry) receives the final merged snapshot when the server
     finishes.  Errors are returned, not raised: an unresolvable host,
-    a config bound out of range, or a unix-socket path occupied by a
+    a config bound out of range (a queue capacity outside
+    [1 .. Chan.max_capacity] included), or a unix-socket path occupied by a
     non-socket file (pre-existing sockets are reclaimed; anything else
     is refused so it cannot be destroyed). *)
 

@@ -131,85 +131,104 @@ let test_terminal_classification () =
 (* ------------------------------------------------------------------ *)
 (* bounded channel *)
 
+(* Everything currently queued, oldest first, via the allocation-free
+   drain the serve path uses. *)
+let drain_list c =
+  let buf = ref [||] in
+  let n = Chan.drain_into c buf in
+  Array.to_list (Array.sub !buf 0 n)
+
 let test_chan_fifo_and_bound () =
-  let c = Chan.create ~capacity:3 in
-  check Alcotest.bool "push 1" true (Chan.try_push c 1);
-  check Alcotest.bool "push 2" true (Chan.try_push c 2);
-  check Alcotest.bool "push 3" true (Chan.try_push c 3);
-  check Alcotest.bool "push 4 over capacity" false (Chan.try_push c 4);
-  check Alcotest.int "length" 3 (Chan.length c);
-  check Alcotest.(list int) "fifo drain" [ 1; 2; 3 ] (Chan.drain c);
-  check Alcotest.int "empty after drain" 0 (Chan.length c);
-  check Alcotest.bool "push after drain" true (Chan.try_push c 5);
-  check Alcotest.(list int) "drained again" [ 5 ] (Chan.drain c)
-
-let test_chan_concurrent () =
-  let c = Chan.create ~capacity:max_int in
-  let producers = 4 and per = 500 in
-  let domains =
-    List.init producers (fun p ->
-        Domain.spawn (fun () ->
-            for i = 0 to per - 1 do
-              ignore (Chan.try_push c ((p * per) + i))
-            done))
-  in
-  List.iter Domain.join domains;
-  let all = Chan.drain c in
-  check Alcotest.int "all pushes kept" (producers * per) (List.length all);
-  check Alcotest.int "no duplicates"
-    (producers * per)
-    (List.length (List.sort_uniq compare all));
-  (* each producer's own pushes stay in order *)
-  List.iteri
-    (fun p () ->
-       let mine = List.filter (fun v -> v / per = p) all in
-       check Alcotest.bool
-         (Printf.sprintf "producer %d order preserved" p)
-         true
-         (List.sort compare mine = mine))
-    (List.init producers (fun _ -> ()))
-
-let test_chan_spsc_fifo_and_bound () =
   let c = Chan.create_spsc ~capacity:3 ~dummy:0 in
   check Alcotest.bool "push 1" true (Chan.try_push c 1);
   check Alcotest.bool "push 2" true (Chan.try_push c 2);
   check Alcotest.bool "push 3" true (Chan.try_push c 3);
   check Alcotest.bool "push 4 over capacity" false (Chan.try_push c 4);
   check Alcotest.int "length" 3 (Chan.length c);
-  check Alcotest.(list int) "fifo drain" [ 1; 2; 3 ] (Chan.drain c);
+  check Alcotest.(list int) "fifo drain" [ 1; 2; 3 ] (drain_list c);
   check Alcotest.int "empty after drain" 0 (Chan.length c);
   check Alcotest.bool "push after drain" true (Chan.try_push c 5);
-  check Alcotest.(list int) "drained again" [ 5 ] (Chan.drain c)
+  check Alcotest.(list int) "drained again" [ 5 ] (drain_list c)
 
-(* The SPSC ring against the mutex ring as oracle: any single-threaded
-   sequence of push / push_slice / drain observations must agree. *)
-let prop_chan_spsc_like_locked =
+(* push_slice across the ring's wrap point: the accepted prefix is
+   exactly what fits, and order survives the split blit. *)
+let test_chan_spsc_fifo_and_bound () =
+  let c = Chan.create_spsc ~capacity:4 ~dummy:0 in
+  check Alcotest.int "slice fills three" 3
+    (Chan.push_slice c [| 1; 2; 3 |] ~off:0 ~len:3);
+  check Alcotest.(list int) "first drain" [ 1; 2; 3 ] (drain_list c);
+  (* head and tail now sit at 3: the next slice wraps *)
+  check Alcotest.int "only the prefix that fits" 4
+    (Chan.push_slice c [| 0; 4; 5; 6; 7; 8 |] ~off:1 ~len:5);
+  check Alcotest.bool "full" false (Chan.try_push c 9);
+  check Alcotest.int "length" 4 (Chan.length c);
+  check Alcotest.(list int) "wrapped drain in order" [ 4; 5; 6; 7 ]
+    (drain_list c);
+  check Alcotest.int "empty slice" 0 (Chan.push_slice c [||] ~off:0 ~len:0);
+  check Alcotest.(list int) "nothing left" [] (drain_list c)
+
+let test_chan_capacity_bound () =
+  let rejects capacity =
+    match Chan.create_spsc ~capacity ~dummy:0 with
+    | _ -> false
+    | exception Invalid_argument _ -> true
+  in
+  check Alcotest.bool "0 rejected" true (rejects 0);
+  check Alcotest.bool "max_capacity + 1 rejected" true
+    (rejects (Chan.max_capacity + 1));
+  check Alcotest.int "max_capacity" 65536 Chan.max_capacity;
+  let c = Chan.create_spsc ~capacity:Chan.max_capacity ~dummy:0 in
+  let src = Array.init (Chan.max_capacity + 1) Fun.id in
+  check Alcotest.int "fills to max_capacity" Chan.max_capacity
+    (Chan.push_slice c src ~off:0 ~len:(Array.length src));
+  check Alcotest.int "drains everything" Chan.max_capacity
+    (List.length (drain_list c))
+
+(* The ring against a bounded FIFO model ([Stdlib.Queue] plus the
+   capacity check): any single-threaded sequence of push / push_slice /
+   length / drain observations must agree. *)
+let prop_chan_bounded_fifo =
   let op_gen =
     QCheck.Gen.(pair (int_bound 3) (pair small_nat (int_bound 6)))
   in
-  qtest ~count:300 "spsc flavour behaves like the mutex flavour"
+  let capacity = 5 in
+  qtest ~count:300 "behaves like a bounded FIFO model"
     (QCheck.make QCheck.Gen.(list_size (int_bound 80) op_gen))
     (fun ops ->
-       let a = Chan.create ~capacity:5 in
-       let b = Chan.create_spsc ~capacity:5 ~dummy:(-1) in
-       let buf_a = ref [||] and buf_b = ref [||] in
+       let c = Chan.create_spsc ~capacity ~dummy:(-1) in
+       let model = Queue.create () in
+       let model_push v =
+         if Queue.length model >= capacity then false
+         else begin
+           Queue.push v model;
+           true
+         end
+       in
+       let model_drain () =
+         let l = List.of_seq (Queue.to_seq model) in
+         Queue.clear model;
+         l
+       in
+       let buf = ref [||] in
        List.for_all
          (fun (op, (v, len)) ->
             match op with
-            | 0 -> Chan.try_push a v = Chan.try_push b v
-            | 1 -> Chan.drain a = Chan.drain b
+            | 0 -> Chan.try_push c v = model_push v
+            | 1 -> Chan.length c = Queue.length model
             | 2 ->
-              let na = Chan.drain_into a buf_a in
-              let nb = Chan.drain_into b buf_b in
-              na = nb
-              && Array.sub !buf_a 0 na = Array.sub !buf_b 0 nb
+              let n = Chan.drain_into c buf in
+              Array.to_list (Array.sub !buf 0 n) = model_drain ()
             | _ ->
               let arr = Array.init len (fun i -> v + i) in
-              Chan.push_slice a arr ~off:0 ~len
-              = Chan.push_slice b arr ~off:0 ~len
-              && Chan.length a = Chan.length b)
+              let accepted = Chan.push_slice c arr ~off:0 ~len in
+              let expected =
+                Array.fold_left
+                  (fun k x -> if model_push x then k + 1 else k)
+                  0 arr
+              in
+              accepted = expected && Chan.length c = Queue.length model)
          ops
-       && Chan.drain a = Chan.drain b)
+       && drain_list c = model_drain ())
 
 (* One producer domain, one consumer domain: nothing lost, nothing
    duplicated, order preserved — the contract the serve path relies
@@ -677,6 +696,38 @@ let test_start_refuses_non_socket_path () =
        close_in ic;
        check Alcotest.string "file contents preserved" "precious" line)
 
+(* Queue capacities are bounded by the eagerly allocated ring: out of
+   range is a clean [Error] naming the field, the ceiling itself starts
+   and drains like any other server. *)
+let test_start_capacity_bounds () =
+  let path = fresh_sock_path () in
+  let cfg = base_cfg (Server.Unix_sock path) in
+  List.iter
+    (fun (field, cfg) ->
+       match Server.start cfg with
+       | Error m ->
+         check Alcotest.string
+           (Printf.sprintf "%s error" field)
+           (field ^ " must be in 1..65536") m
+       | Ok srv ->
+         Server.drain srv;
+         ignore (Server.wait srv);
+         Alcotest.failf "server started with an out-of-range %s" field)
+    [ ("queue_capacity", { cfg with queue_capacity = 0 });
+      ("queue_capacity", { cfg with queue_capacity = 65537 });
+      ("outbox_capacity", { cfg with outbox_capacity = 0 });
+      ("outbox_capacity", { cfg with outbox_capacity = 65537 }) ];
+  let inst = random_instance ~n:8 ~d:4 ~rounds:10 ~load:1.2 ~seed:3 in
+  let r, snap =
+    with_server ~queue_capacity:65536 ~outbox_capacity:65536 (fun addr _ ->
+        run_open addr inst)
+  in
+  check Alcotest.int "every request submitted" (Instance.n_requests inst)
+    r.Client.submitted;
+  check Alcotest.int "terminals partition the submissions" r.Client.submitted
+    (r.Client.scheduled + r.Client.expired + r.Client.rejected);
+  check Alcotest.int "no client errors" 0 (counter snap "serve.client_errors")
+
 let () =
   Alcotest.run "serve"
     [
@@ -691,11 +742,10 @@ let () =
       ( "chan",
         [
           Alcotest.test_case "fifo and bound" `Quick test_chan_fifo_and_bound;
-          Alcotest.test_case "concurrent producers" `Quick
-            test_chan_concurrent;
           Alcotest.test_case "spsc fifo and bound" `Quick
             test_chan_spsc_fifo_and_bound;
-          prop_chan_spsc_like_locked;
+          Alcotest.test_case "capacity bound" `Quick test_chan_capacity_bound;
+          prop_chan_bounded_fifo;
           Alcotest.test_case "spsc across two domains" `Quick
             test_chan_spsc_two_domains;
         ] );
@@ -732,5 +782,7 @@ let () =
             test_start_bad_hostname;
           Alcotest.test_case "refuses non-socket path" `Quick
             test_start_refuses_non_socket_path;
+          Alcotest.test_case "queue capacity bounds" `Quick
+            test_start_capacity_bounds;
         ] );
     ]
