@@ -109,6 +109,42 @@ let random_instance =
     (let rng = Prelude.Rng.create ~seed:7 in
      Adversary.Random_workload.make ~rng ~n:8 ~d:4 ~rounds:60 ~load:1.1 ())
 
+(* One lock-step cluster round's wire traffic, in the mix the perfbench
+   cluster workload (64 resources, d = 4) carries per round: 87 offers,
+   62 accepts, 24 fulls, 62 serve reports, 3 pings and 3 pongs. *)
+let wire_round =
+  lazy
+    (let open Cluster.Wire in
+     let rng = Prelude.Rng.create ~seed:5 in
+     let round = 600 in
+     let offer i =
+       let a = Prelude.Rng.int rng 64 in
+       let b = (a + 1 + Prelude.Rng.int rng 63) mod 64 in
+       let deadline = 1 + Prelude.Rng.int rng 4 in
+       let rid = 20_000 + i in
+       Data
+         {
+           sender = rid;
+           dst = a;
+           deadline_key = round + deadline - 1;
+           tagged = false;
+           payload =
+             Offer { rid; alternatives = [ a; b ]; arrival = round; deadline };
+         }
+     in
+     let replies k f =
+       List.init k (fun i -> Reply (f (20_000 + i) (i mod 64)))
+     in
+     List.concat
+       [
+         List.init 87 offer;
+         replies 62 (fun q res -> Accept { q; res; slot = round + 1 });
+         replies 24 (fun q res -> Full { q; res });
+         replies 62 (fun q res -> Served { res; round; q });
+         List.init 3 (fun _ -> Control (Ping { round }));
+         replies 3 (fun _ node -> Pong { node; round });
+       ])
+
 let micro_tests () =
   let run_strategy inst factory () =
     ignore (Sched.Engine.run (Lazy.force inst) factory : Sched.Outcome.t)
@@ -164,6 +200,16 @@ let micro_tests () =
              (Dataserver.Trace.sessions ~rng ~placement ~rounds:60
                 ~arrivals_per_round:1.5 ~mean_length:5 ~d:4 ()
                : Sched.Instance.t * Dataserver.Trace.session_stats)));
+    (* the cluster transport's wire gate: render and parse back every
+       line of one round *)
+    Test.make ~name:"cluster/wire-round"
+      (Staged.stage (fun () ->
+           List.iter
+             (fun m ->
+                ignore
+                  (Cluster.Wire.parse (Cluster.Wire.render m)
+                    : (Cluster.Wire.t, string) result))
+             (Lazy.force wire_round)));
     (* the Hall capacity bound used as an analytic cross-check *)
     Test.make ~name:"OPT/hall-bound"
       (Staged.stage (fun () ->

@@ -3,13 +3,18 @@
    (Serve.Protocol.int_field), alternative lists use Sched.Codec's
    comma grammar, and the LDF key renders max_int as "inf" (cancel
    messages outrank everything, and 4611686018427387903 on the wire
-   would be noise, not meaning). *)
+   would be noise, not meaning).
 
-module Codec = Sched.Codec
+   The transport renders and parses back every message it carries, so
+   both directions are on the cluster's per-message path and neither
+   goes through Printf: the renderer writes digits into a per-call
+   Buffer, and the parser dispatches on the keyword and reads the
+   fields with one cursor. *)
+
 module Protocol = Serve.Protocol
 module Request = Sched.Request
 
-let version = Codec.version
+let version = Sched.Codec.version
 let max_line = 65536
 
 type reqinfo = {
@@ -74,289 +79,285 @@ let request_of_reqinfo ri =
 (* ------------------------------------------------------------------ *)
 (* rendering *)
 
-let render_reqinfo ri =
-  Printf.sprintf "%d %s %d %d" ri.rid
-    (Codec.render_alts ri.alternatives)
-    ri.arrival ri.deadline
+let rec add_digits b v =
+  if v >= 10 then add_digits b (v / 10);
+  Buffer.add_char b (Char.unsafe_chr (48 + (v mod 10)))
 
-let render_key k = if k = max_int then "inf" else string_of_int k
+(* a negative value still renders, and the parser then rejects it *)
+let add_int b v =
+  if v >= 0 then add_digits b v else Buffer.add_string b (string_of_int v)
 
-let render_env_header keyword e =
-  Printf.sprintf "%s %d %d %s %c" keyword e.sender e.dst
-    (render_key e.deadline_key)
-    (if e.tagged then 't' else 'u')
+let field b v =
+  Buffer.add_char b ' ';
+  add_int b v
 
-let render_data e =
+let add_reqinfo b ri =
+  field b ri.rid;
+  Buffer.add_char b ' ';
+  List.iteri
+    (fun i a ->
+       if i > 0 then Buffer.add_char b ',';
+       add_int b a)
+    ri.alternatives;
+  field b ri.arrival;
+  field b ri.deadline
+
+let add_env b keyword e =
+  Buffer.add_string b keyword;
+  field b e.sender;
+  field b e.dst;
+  if e.deadline_key = max_int then Buffer.add_string b " inf"
+  else field b e.deadline_key;
+  Buffer.add_string b (if e.tagged then " t" else " u")
+
+let add_data b e =
   match e.payload with
-  | Offer ri -> render_env_header "offer" e ^ " " ^ render_reqinfo ri
-  | Probe ri -> render_env_header "probe" e ^ " " ^ render_reqinfo ri
+  | Offer ri -> add_env b "offer" e; add_reqinfo b ri
+  | Probe ri -> add_env b "probe" e; add_reqinfo b ri
   | Cancel { q; old_res; old_t } ->
-    Printf.sprintf "%s %d %d %d" (render_env_header "cancel" e) q old_res
-      old_t
-  | Rival ri -> render_env_header "rival" e ^ " " ^ render_reqinfo ri
-  | Swap { r; q } ->
-    Printf.sprintf "%s %d %s" (render_env_header "swap" e) r
-      (render_reqinfo q)
-  | Rehome { r; res } ->
-    Printf.sprintf "%s %d %s" (render_env_header "rehome" e) res
-      (render_reqinfo r)
-  | Loadq -> render_env_header "loadq" e
-  | Assign ri -> render_env_header "assign" e ^ " " ^ render_reqinfo ri
+    add_env b "cancel" e; field b q; field b old_res; field b old_t
+  | Rival ri -> add_env b "rival" e; add_reqinfo b ri
+  | Swap { r; q } -> add_env b "swap" e; field b r; add_reqinfo b q
+  | Rehome { r; res } -> add_env b "rehome" e; field b res; add_reqinfo b r
+  | Loadq -> add_env b "loadq" e
+  | Assign ri -> add_env b "assign" e; add_reqinfo b ri
 
-let render_reply = function
-  | Accept { q; res; slot } -> Printf.sprintf "accept %d %d %d" q res slot
-  | Full { q; res } -> Printf.sprintf "full %d %d" q res
-  | Ack { q; res } -> Printf.sprintf "ack %d %d" q res
-  | Freeat { q; res; slot } -> Printf.sprintf "freeat %d %d %d" q res slot
-  | Served { res; round; q } -> Printf.sprintf "served %d %d %d" res round q
-  | Pong { node; round } -> Printf.sprintf "pong %d %d" node round
+let add_reply b = function
+  | Accept { q; res; slot } ->
+    Buffer.add_string b "accept"; field b q; field b res; field b slot
+  | Full { q; res } -> Buffer.add_string b "full"; field b q; field b res
+  | Ack { q; res } -> Buffer.add_string b "ack"; field b q; field b res
+  | Freeat { q; res; slot } ->
+    Buffer.add_string b "freeat"; field b q; field b res; field b slot
+  | Served { res; round; q } ->
+    Buffer.add_string b "served"; field b res; field b round; field b q
+  | Pong { node; round } ->
+    Buffer.add_string b "pong"; field b node; field b round
 
-let render_control = function
-  | Hello { node } -> Printf.sprintf "hello %s %d" version node
-  | Ping { round } -> Printf.sprintf "ping %d" round
-  | Join { node; round } -> Printf.sprintf "join %s %d %d" version node round
-  | Handoff { res; slots = [] } -> Printf.sprintf "handoff %d" res
+let add_control b = function
+  | Hello { node } ->
+    Buffer.add_string b "hello "; Buffer.add_string b version; field b node
+  | Ping { round } -> Buffer.add_string b "ping"; field b round
+  | Join { node; round } ->
+    Buffer.add_string b "join "; Buffer.add_string b version;
+    field b node; field b round
   | Handoff { res; slots } ->
-    Printf.sprintf "handoff %d %s" res
-      (String.concat ";"
-         (List.map
-            (fun (t, ri) -> Printf.sprintf "%d %s" t (render_reqinfo ri))
-            slots))
+    Buffer.add_string b "handoff";
+    field b res;
+    List.iteri
+      (fun i (t, ri) ->
+         Buffer.add_char b (if i = 0 then ' ' else ';');
+         add_int b t;
+         add_reqinfo b ri)
+      slots
 
-let render = function
-  | Data e -> render_data e
-  | Reply r -> render_reply r
-  | Control c -> render_control c
+let render m =
+  let b = Buffer.create 64 in
+  (match m with
+   | Data e -> add_data b e
+   | Reply r -> add_reply b r
+   | Control c -> add_control b c);
+  Buffer.contents b
 
 (* ------------------------------------------------------------------ *)
 (* parsing *)
 
-let ( let* ) = Result.bind
+exception Malformed of string
 
-let int_field = Protocol.int_field
+let fail msg = raise (Malformed msg)
 
-let parse_reqinfo ~what fields =
-  match fields with
-  | [ rid_s; alts_s; arrival_s; deadline_s ] ->
-    let* rid = int_field ~what:(what ^ " id") rid_s in
-    let* alternatives = Codec.parse_alts alts_s in
-    let* arrival = int_field ~what:"arrival" arrival_s in
-    let* deadline = int_field ~what:"deadline" deadline_s in
-    if deadline < 1 then Error (Printf.sprintf "deadline %d < 1" deadline)
-    else Ok { rid; alternatives; arrival; deadline }
-  | _ -> Error (Printf.sprintf "expected '<%s> <alts> <arrival> <deadline>'" what)
+(* A cursor over one line.  Fields are separated by single spaces and
+   the current one ends at the next space or at [lim]; [pos] is where
+   the next field starts, [lim + 1] once the last one is read.  [lim]
+   is the line's end except inside a handoff entry. *)
+type cursor = { line : string; mutable pos : int; mutable lim : int }
 
-let parse_key s =
-  if s = "inf" then Ok max_int else int_field ~what:"deadline key" s
+let rec scan s ch i lim =
+  if i < lim && s.[i] <> ch then scan s ch (i + 1) lim else i
 
-let parse_tag = function
-  | "t" -> Ok true
-  | "u" -> Ok false
-  | s -> Error (Printf.sprintf "malformed tag flag %S (want t or u)" s)
+(* end of the field at the cursor, which must exist *)
+let field_end c =
+  if c.pos > c.lim then fail "truncated line";
+  scan c.line ' ' c.pos c.lim
 
-(* "<sender> <dst> <key> <t|u> rest..." *)
-let parse_env rest ~payload =
-  match String.split_on_char ' ' rest with
-  | sender_s :: dst_s :: key_s :: tag_s :: payload_fields ->
-    let* sender = int_field ~what:"sender" sender_s in
-    let* dst = int_field ~what:"destination" dst_s in
-    let* deadline_key = parse_key key_s in
-    let* tagged = parse_tag tag_s in
-    let* payload = payload payload_fields in
-    Ok (Data { sender; dst; deadline_key; tagged; payload })
-  | _ -> Error "truncated envelope"
-
-let reqinfo_payload ~what wrap fields =
-  let* ri = parse_reqinfo ~what fields in
-  Ok (wrap ri)
-
-let parse_ints ~shape whats fields =
-  if List.length whats <> List.length fields then
-    Error (Printf.sprintf "expected '%s'" shape)
-  else
-    List.fold_right2
-      (fun what field acc ->
-         let* vs = acc in
-         let* v = int_field ~what field in
-         Ok (v :: vs))
-      whats fields (Ok [])
-
-let parse_handoff rest =
-  let res_s, entries_s =
-    match String.index_opt rest ' ' with
-    | None -> (rest, "")
-    | Some i ->
-      ( String.sub rest 0 i,
-        String.sub rest (i + 1) (String.length rest - i - 1) )
+(* [s.[i..j)] as a non-negative int.  Up to eighteen plain digits are
+   decoded here (they cannot overflow); every other field, including
+   int_of_string's other forms ("0x10", "+1", "1_0") and longer ones,
+   goes through Serve.Protocol.int_field. *)
+let int_at ~what s i j =
+  let rec digits k acc =
+    if k = j then acc
+    else
+      match s.[k] with
+      | '0' .. '9' as ch -> digits (k + 1) ((acc * 10) + Char.code ch - 48)
+      | _ -> -1
   in
-  let* res = int_field ~what:"resource" res_s in
-  if entries_s = "" then Ok (Control (Handoff { res; slots = [] }))
+  match if j - i < 1 || j - i > 18 then -1 else digits i 0 with
+  | -1 ->
+    (match Protocol.int_field ~what (String.sub s i (j - i)) with
+     | Ok v -> v
+     | Error e -> fail e)
+  | v -> v
+
+let nat c ~what =
+  let i = c.pos in
+  let j = field_end c in
+  c.pos <- j + 1;
+  int_at ~what c.line i j
+
+let word c =
+  let i = c.pos in
+  let j = field_end c in
+  c.pos <- j + 1;
+  String.sub c.line i (j - i)
+
+(* Sched.Codec.parse_alts' rules: a non-empty comma list of distinct
+   non-negative ints, each read as int_of_string reads it *)
+let alts c =
+  let s = c.line and i = c.pos in
+  let j = field_end c in
+  c.pos <- j + 1;
+  if i = j then fail "empty alternative list";
+  let rec go i acc =
+    let k = scan s ',' i j in
+    let v = int_at ~what:"resource" s i k in
+    if List.mem v acc then fail (Printf.sprintf "duplicate resource %d" v);
+    if k = j then List.rev (v :: acc) else go (k + 1) (v :: acc)
+  in
+  go i []
+
+let key c =
+  let s = c.line and i = c.pos in
+  if field_end c - i = 3 && s.[i] = 'i' && s.[i + 1] = 'n' && s.[i + 2] = 'f'
+  then begin
+    c.pos <- i + 4;
+    max_int
+  end
+  else nat c ~what:"deadline key"
+
+let tag c =
+  let i = c.pos in
+  if field_end c - i = 1 && (c.line.[i] = 't' || c.line.[i] = 'u') then begin
+    c.pos <- i + 2;
+    c.line.[i] = 't'
+  end
+  else fail (Printf.sprintf "malformed tag flag %S (want t or u)" (word c))
+
+let finish c = if c.pos <= c.lim then fail "trailing data after the last field"
+
+let reqinfo c =
+  let rid = nat c ~what:"request id" in
+  let alternatives = alts c in
+  let arrival = nat c ~what:"arrival" in
+  let deadline = nat c ~what:"deadline" in
+  if deadline < 1 then fail (Printf.sprintf "deadline %d < 1" deadline);
+  { rid; alternatives; arrival; deadline }
+
+(* "<sender> <dst> <key> <t|u>" then the payload *)
+let env c payload =
+  let sender = nat c ~what:"sender" in
+  let dst = nat c ~what:"destination" in
+  let deadline_key = key c in
+  let tagged = tag c in
+  let payload = payload c in
+  Data { sender; dst; deadline_key; tagged; payload }
+
+let versioned c =
+  let v = word c in
+  if v <> version then
+    fail (Printf.sprintf "unsupported protocol version %S (want %s)" v version)
+
+(* "<res>[ <t> <reqinfo>[;<t> <reqinfo>]...]": each ';'-separated entry
+   is read with the cursor's limit at its end.  A bare trailing space is
+   an empty entry list. *)
+let handoff c =
+  let res = nat c ~what:"resource" in
+  let len = String.length c.line in
+  if c.pos >= len then begin
+    c.pos <- len + 1;
+    Control (Handoff { res; slots = [] })
+  end
   else
-    let* slots =
-      List.fold_right
-        (fun entry acc ->
-           let* slots = acc in
-           match String.split_on_char ' ' entry with
-           | t_s :: ri_fields ->
-             let* t = int_field ~what:"slot round" t_s in
-             let* ri = parse_reqinfo ~what:"request" ri_fields in
-             Ok ((t, ri) :: slots)
-           | [] -> Error "empty handoff entry")
-        (String.split_on_char ';' entries_s)
-        (Ok [])
+    let rec entries acc =
+      c.lim <- scan c.line ';' c.pos len;
+      let t = nat c ~what:"slot round" in
+      let ri = reqinfo c in
+      finish c;
+      let acc = (t, ri) :: acc in
+      if c.lim = len then List.rev acc else entries acc
     in
-    Ok (Control (Handoff { res; slots }))
+    Control (Handoff { res; slots = entries [] })
 
-let parse_versioned ~keyword ~shape rest k =
-  match String.split_on_char ' ' rest with
-  | v :: fields when v = version -> k fields
-  | v :: _ when v <> version ->
-    Error
-      (Printf.sprintf "unsupported protocol version %S (want %s)" v version)
-  | _ -> Error (Printf.sprintf "expected '%s %s %s'" keyword version shape)
-
-let keyword_table :
-  (string * (string -> (t, string) result)) list =
-  [
-    ( "offer",
-      fun rest -> parse_env rest ~payload:(reqinfo_payload ~what:"request"
-                                             (fun ri -> Offer ri)) );
-    ( "probe",
-      fun rest -> parse_env rest ~payload:(reqinfo_payload ~what:"request"
-                                             (fun ri -> Probe ri)) );
-    ( "cancel",
-      fun rest ->
-        parse_env rest ~payload:(fun fields ->
-            let* vs =
-              parse_ints ~shape:"<q> <old res> <old round>"
-                [ "request"; "old resource"; "old round" ] fields
-            in
-            match vs with
-            | [ q; old_res; old_t ] -> Ok (Cancel { q; old_res; old_t })
-            | _ -> assert false) );
-    ( "rival",
-      fun rest -> parse_env rest ~payload:(reqinfo_payload ~what:"request"
-                                             (fun ri -> Rival ri)) );
-    ( "swap",
-      fun rest ->
-        parse_env rest ~payload:(fun fields ->
-            match fields with
-            | r_s :: ri_fields ->
-              let* r = int_field ~what:"occupant" r_s in
-              let* q = parse_reqinfo ~what:"request" ri_fields in
-              Ok (Swap { r; q })
-            | [] -> Error "truncated swap") );
-    ( "rehome",
-      fun rest ->
-        parse_env rest ~payload:(fun fields ->
-            match fields with
-            | res_s :: ri_fields ->
-              let* res = int_field ~what:"resource" res_s in
-              let* r = parse_reqinfo ~what:"request" ri_fields in
-              Ok (Rehome { r; res })
-            | [] -> Error "truncated rehome") );
-    ("loadq", fun rest -> parse_env rest ~payload:(function
-         | [] -> Ok Loadq
-         | _ -> Error "loadq carries no payload"));
-    ( "assign",
-      fun rest -> parse_env rest ~payload:(reqinfo_payload ~what:"request"
-                                             (fun ri -> Assign ri)) );
-    ( "accept",
-      fun rest ->
-        let* vs =
-          parse_ints ~shape:"accept <q> <res> <slot>"
-            [ "request"; "resource"; "slot" ]
-            (String.split_on_char ' ' rest)
-        in
-        match vs with
-        | [ q; res; slot ] -> Ok (Reply (Accept { q; res; slot }))
-        | _ -> assert false );
-    ( "full",
-      fun rest ->
-        let* vs =
-          parse_ints ~shape:"full <q> <res>" [ "request"; "resource" ]
-            (String.split_on_char ' ' rest)
-        in
-        match vs with
-        | [ q; res ] -> Ok (Reply (Full { q; res }))
-        | _ -> assert false );
-    ( "ack",
-      fun rest ->
-        let* vs =
-          parse_ints ~shape:"ack <q> <res>" [ "request"; "resource" ]
-            (String.split_on_char ' ' rest)
-        in
-        match vs with
-        | [ q; res ] -> Ok (Reply (Ack { q; res }))
-        | _ -> assert false );
-    ( "freeat",
-      fun rest ->
-        let* vs =
-          parse_ints ~shape:"freeat <q> <res> <slot>"
-            [ "request"; "resource"; "slot" ]
-            (String.split_on_char ' ' rest)
-        in
-        match vs with
-        | [ q; res; slot ] -> Ok (Reply (Freeat { q; res; slot }))
-        | _ -> assert false );
-    ( "served",
-      fun rest ->
-        let* vs =
-          parse_ints ~shape:"served <res> <round> <q>"
-            [ "resource"; "round"; "request" ]
-            (String.split_on_char ' ' rest)
-        in
-        match vs with
-        | [ res; round; q ] -> Ok (Reply (Served { res; round; q }))
-        | _ -> assert false );
-    ( "pong",
-      fun rest ->
-        let* vs =
-          parse_ints ~shape:"pong <node> <round>" [ "node"; "round" ]
-            (String.split_on_char ' ' rest)
-        in
-        match vs with
-        | [ node; round ] -> Ok (Reply (Pong { node; round }))
-        | _ -> assert false );
-    ( "hello",
-      fun rest ->
-        parse_versioned ~keyword:"hello" ~shape:"<node>" rest (function
-            | [ node_s ] ->
-              let* node = int_field ~what:"node" node_s in
-              Ok (Control (Hello { node }))
-            | _ -> Error "expected 'hello rsp/1 <node>'") );
-    ( "ping",
-      fun rest ->
-        let* round = int_field ~what:"round" rest in
-        Ok (Control (Ping { round })) );
-    ( "join",
-      fun rest ->
-        parse_versioned ~keyword:"join" ~shape:"<node> <round>" rest
-          (function
-            | [ node_s; round_s ] ->
-              let* node = int_field ~what:"node" node_s in
-              let* round = int_field ~what:"round" round_s in
-              Ok (Control (Join { node; round }))
-            | _ -> Error "expected 'join rsp/1 <node> <round>'") );
-    ("handoff", parse_handoff);
-  ]
+let message c = function
+  | "offer" -> env c (fun c -> Offer (reqinfo c))
+  | "probe" -> env c (fun c -> Probe (reqinfo c))
+  | "cancel" ->
+    env c (fun c ->
+        let q = nat c ~what:"request" in
+        let old_res = nat c ~what:"old resource" in
+        let old_t = nat c ~what:"old round" in
+        Cancel { q; old_res; old_t })
+  | "rival" -> env c (fun c -> Rival (reqinfo c))
+  | "swap" ->
+    env c (fun c ->
+        let r = nat c ~what:"occupant" in
+        Swap { r; q = reqinfo c })
+  | "rehome" ->
+    env c (fun c ->
+        let res = nat c ~what:"resource" in
+        Rehome { r = reqinfo c; res })
+  | "loadq" -> env c (fun _ -> Loadq)
+  | "assign" -> env c (fun c -> Assign (reqinfo c))
+  | "accept" ->
+    let q = nat c ~what:"request" in
+    let res = nat c ~what:"resource" in
+    let slot = nat c ~what:"slot" in
+    Reply (Accept { q; res; slot })
+  | "full" ->
+    let q = nat c ~what:"request" in
+    let res = nat c ~what:"resource" in
+    Reply (Full { q; res })
+  | "ack" ->
+    let q = nat c ~what:"request" in
+    let res = nat c ~what:"resource" in
+    Reply (Ack { q; res })
+  | "freeat" ->
+    let q = nat c ~what:"request" in
+    let res = nat c ~what:"resource" in
+    let slot = nat c ~what:"slot" in
+    Reply (Freeat { q; res; slot })
+  | "served" ->
+    let res = nat c ~what:"resource" in
+    let round = nat c ~what:"round" in
+    let q = nat c ~what:"request" in
+    Reply (Served { res; round; q })
+  | "pong" ->
+    let node = nat c ~what:"node" in
+    let round = nat c ~what:"round" in
+    Reply (Pong { node; round })
+  | "hello" ->
+    versioned c;
+    Control (Hello { node = nat c ~what:"node" })
+  | "ping" -> Control (Ping { round = nat c ~what:"round" })
+  | "join" ->
+    versioned c;
+    let node = nat c ~what:"node" in
+    let round = nat c ~what:"round" in
+    Control (Join { node; round })
+  | "handoff" -> handoff c
+  | _ -> fail "unknown keyword"
 
 let parse line =
   let len = String.length line in
   if len > max_line then
     Error (Printf.sprintf "line too long (%d bytes, max %d)" len max_line)
   else
-    let rec dispatch = function
-      | [] ->
-        let keyword =
-          match String.index_opt line ' ' with
-          | None -> line
-          | Some i -> String.sub line 0 i
-        in
-        Error (Printf.sprintf "unknown message %S" keyword)
-      | (keyword, handler) :: rest ->
-        (match Protocol.strip_keyword ~keyword line with
-         | Some tail -> handler tail
-         | None -> dispatch rest)
-    in
-    dispatch keyword_table
+    let c = { line; pos = 0; lim = len } in
+    let keyword = word c in
+    match
+      let m = message c keyword in
+      finish c;
+      m
+    with
+    | m -> Ok m
+    | exception Malformed e -> Error (Printf.sprintf "%S message: %s" keyword e)

@@ -22,7 +22,18 @@
     every well-formed message.  [parse] rejects lines longer than
     {!max_line} outright — a peer cannot feed the router an unbounded
     allocation — and rejects [hello]/[join] carrying any version token
-    other than {!version}. *)
+    other than {!version}.
+
+    The transport renders and parses back every line it carries, so
+    the codec is on the cluster's per-message path.  There is one
+    renderer, which writes digits into a per-call buffer without
+    [Printf], and one parser, which matches the keyword and reads the
+    fields in place with a single cursor.  The accepted language is
+    that of [int_of_string] and {!Sched.Codec.parse_alts}: integer
+    fields may be written [0x10], [+1], [1_0] or [007] and go up to
+    [max_int]; fields are separated by exactly one space; alternative
+    lists reject empty, negative and duplicate entries.  A test table
+    of edge-case lines pins it. *)
 
 val version : string
 (** ["rsp/1"], shared with {!Sched.Codec.version}. *)

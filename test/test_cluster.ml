@@ -96,28 +96,43 @@ let test_ring_moved_is_exact () =
 (* ------------------------------------------------------------------ *)
 (* wire grammar *)
 
+(* Field values on both sides of the parser's 18-digit inline decode:
+   zero, small values, 17-, 18- and 19-digit values, and max_int - 1. *)
+let wide_int =
+  QCheck.Gen.(
+    frequency
+      [
+        (1, return 0);
+        (4, int_range 1 9999);
+        (1, int_range 10_000_000_000_000_000 99_999_999_999_999_999);
+        (1, int_range 100_000_000_000_000_000 999_999_999_999_999_999);
+        (1, int_range 1_000_000_000_000_000_000 (max_int - 1));
+        (1, return (max_int - 1));
+      ])
+
 let reqinfo_gen =
   QCheck.Gen.(
     map
       (fun (rid, alts, arrival, deadline) ->
          let alternatives = List.sort_uniq compare alts in
          { Wire.rid; alternatives; arrival; deadline })
-      (tup4 (int_range 0 9999)
-         (list_size (int_range 1 4) (int_range 0 99))
-         (int_range 0 500) (int_range 1 40)))
+      (tup4 wide_int
+         (list_size (int_range 1 4) wide_int)
+         wide_int (int_range 1 40)))
 
+(* a key of 0 stands for max_int, which renders as "inf" *)
 let env_gen data tagged =
   QCheck.Gen.(
     map
       (fun (sender, dst, key) ->
          let deadline_key = if key = 0 then max_int else key in
          Wire.Data { Wire.sender; dst; deadline_key; tagged; payload = data })
-      (tup3 (int_range 0 9999) (int_range 0 99) (int_range 0 2000)))
+      (tup3 wide_int wide_int wide_int))
 
 let wire_gen =
   QCheck.Gen.(
     reqinfo_gen >>= fun ri ->
-    tup3 (int_range 0 9999) (int_range 0 99) (int_range 0 500)
+    tup3 wide_int wide_int wide_int
     >>= fun (a, b, c) ->
     oneof
       [
@@ -162,27 +177,135 @@ let test_wire_rejects () =
        (String.length m > 0
         && String.index_opt m '0' <> None)
    | Ok _ -> Alcotest.fail "bad hello version accepted");
-  (match Wire.parse "join rsp/9 1 4" with
-   | Error _ -> ()
-   | Ok _ -> Alcotest.fail "bad join version accepted");
+  match Wire.parse "join rsp/9 1 4" with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "bad join version accepted"
+
+(* The accepted language, as recorded at the Printf/keyword-table
+   codec: each line with the message it parses to, or [None] for a
+   rejection.  Integer fields follow int_of_string (hex, sign,
+   underscores, leading zeros, up to max_int), alternative lists
+   Sched.Codec.parse_alts (no empty, negative or duplicate entry), and
+   fields are separated by exactly one space. *)
+let wire_edge_cases =
+  let accept q res slot = Some (Wire.Reply (Wire.Accept { q; res; slot })) in
+  let ri ?(alternatives = [ 0; 1 ]) ?(arrival = 0) ?(deadline = 2) rid =
+    { Wire.rid; alternatives; arrival; deadline }
+  in
+  let data ?(key = 3) ?(tagged = false) payload =
+    Some
+      (Wire.Data
+         { Wire.sender = 1; dst = 2; deadline_key = key; tagged; payload })
+  in
+  let handoff slots = Some (Wire.Control (Wire.Handoff { res = 3; slots })) in
+  [
+    ("", None);
+    ("bogus 1 2 3", None);
+    ("accept 0x10 2 3", accept 16 2 3);
+    ("accept +1 2 3", accept 1 2 3);
+    ("accept 1_0 2 3", accept 10 2 3);
+    ("accept 007 2 3", accept 7 2 3);
+    ("accept -0 1 2", accept 0 1 2);
+    ("accept 000000000000000000 0 0", accept 0 0 0);
+    ("accept 0000000000000000001 0 0", accept 1 0 0);
+    ("accept 123456789012345678 0 0", accept 123456789012345678 0 0);
+    ("accept 1234567890123456789 0 0", accept 1234567890123456789 0 0);
+    ("accept 4611686018427387903 0 0", accept max_int 0 0);
+    ("accept 4611686018427387904 0 0", None);
+    ("accept -1 2 3", None);
+    ("accept 1  2 3", None);
+    ("accept 1 2 3 ", None);
+    ("accept 1 2 3 4", None);
+    ("accept 1 2", None);
+    ("accept", None);
+    ("accept ", None);
+    ("accept 1 2 3;", None);
+    ("accept 1 2 3\r", None);
+    ("pong 1", None);
+    ("ping 7", Some (Wire.Control (Wire.Ping { round = 7 })));
+    ("ping 5 6", None);
+    ("ping", None);
+    ("offer 1 2 inf u 4 0,1 0 2", data ~key:max_int (Wire.Offer (ri 4)));
+    ( "offer 1 2 4611686018427387903 u 4 0,1 0 2",
+      data ~key:max_int (Wire.Offer (ri 4)) );
+    ("offer 1 2 3 t 4 0,1 0 2", data ~tagged:true (Wire.Offer (ri 4)));
+    ("offer 1 2 INF u 4 0,1 0 2", None);
+    ("offer 1 2 3 uu 4 0,1 0 2", None);
+    ("offer 1 2 3 x 4 0,1 0 2", None);
+    ("offer -1 2 3 u 4 0,1 0 2", None);
+    ("offer 1 2 3 u 4 0,,1 0 2", None);
+    ("offer 1 2 3 u 4 ,1 0 2", None);
+    ("offer 1 2 3 u 4 0, 0 2", None);
+    ("offer 1 2 3 u 4 0,1, 0 2", None);
+    ("offer 1 2 3 u 4 0;1 0 2", None);
+    ("offer 1 2 3 u 4 0,1 0 2 9", None);
+    ("offer 1 2 3 u 4 0,1 0 2;", None);
+    ("offer 1 2 3 u 4 0,1 0", None);
+    ("offer 1 2 3 u 4", None);
+    ("offer 1 2 3 u", None);
+    ("offer 1 2 3", None);
+    ("offer", None);
+    ("offer 1 2 3 u 4 0,+1 0 2", data (Wire.Offer (ri 4)));
+    ("offer 1 2 3 u 4 0,0x1 0 2", data (Wire.Offer (ri 4)));
+    ("offer 1 2 3 u 4 0,0 0 2", None);
+    ("offer 1 2 3 u 4 0,-0 0 2", None);
+    ("offer 1 2 3 u 4 0,-1 0 2", None);
+    ( "offer 1 2 3 u 4 1,0 0 2",
+      data (Wire.Offer (ri ~alternatives:[ 1; 0 ] 4)) );
+    ( "offer 1 2 3 u 4 0,1234567890123456789 0 2",
+      data (Wire.Offer (ri ~alternatives:[ 0; 1234567890123456789 ] 4)) );
+    ("offer 1 2 3 u 4 0,4611686018427387904 0 2", None);
+    ("offer 1 2 3 u 4 0,1 0 0", None);
+    ("offer 1 2 3 u 4 0,1 0 0x2", data (Wire.Offer (ri 4)));
+    ("offer 1 2 3 u 4 0,1 -0 2", data (Wire.Offer (ri 4)));
+    ("loadq 1 2 3 u", data Wire.Loadq);
+    ("loadq 1 2 3 u ", None);
+    ("loadq 1 2 3", None);
+    ( "cancel 1 2 inf t 4 5 6",
+      data ~key:max_int ~tagged:true
+        (Wire.Cancel { q = 4; old_res = 5; old_t = 6 }) );
+    ("cancel 1 2 3 u 4 5", None);
+    ("cancel 1 2 3 u 4 5 6 7", None);
+    ( "swap 1 2 3 t 9 4 0,1 0 2",
+      data ~tagged:true (Wire.Swap { r = 9; q = ri 4 }) );
+    ("swap 1 2 3 t 9", None);
+    ( "rehome 1 2 3 u 7 4 0,1 0 2",
+      data (Wire.Rehome { r = ri 4; res = 7 }) );
+    ("handoff 3", handoff []);
+    ("handoff 3 ", handoff []);
+    ( "handoff 3 1 5 0,1 0 2;2 6 1 0 1",
+      handoff
+        [ (1, ri 5); (2, ri ~alternatives:[ 1 ] ~deadline:1 6) ] );
+    ("handoff 3  ", None);
+    ("handoff 3 0 4 0,1 0", None);
+    ("handoff 3 1 5 0,1 0 2;", None);
+    ("handoff 3 1 5 0,1 0 2; 2 6 1 0 1", None);
+    ("handoff 3 1 5 0,1 0 2 ;2 6 1 0 1", None);
+    ("handoff 3 1 5 0,1 0 2;;2 6 1 0 1", None);
+    ("handoff 3;1 5 0,1 0 2", None);
+    ("handoff", None);
+    ("hello rsp/1 3", Some (Wire.Control (Wire.Hello { node = 3 })));
+    ("hello rsp/1 3 4", None);
+    ("hello rsp/1", None);
+    ( "join rsp/1 3 4",
+      Some (Wire.Control (Wire.Join { node = 3; round = 4 })) );
+    ("join rsp/2 3 4", None);
+    ("Offer 1 2 3 u 4 0,1 0 2", None);
+    (" offer 1 2 3 u 4 0,1 0 2", None);
+    ("offer\t1 2 3 u 4 0,1 0 2", None);
+  ]
+
+let test_wire_edge_cases () =
   List.iter
-    (fun line ->
-       match Wire.parse line with
-       | Error _ -> ()
-       | Ok _ -> Alcotest.failf "%S accepted" line)
-    [
-      "";
-      "bogus 1 2 3";
-      "offer 1 2 3";               (* truncated envelope *)
-      "offer 1 2 3 u 4";           (* truncated reqinfo *)
-      "offer 1 2 3 x 4 0,1 0 2";   (* bad tag flag *)
-      "offer -1 2 3 u 4 0,1 0 2";  (* negative field *)
-      "offer 1 2 3 u 4 0,0 0 2";   (* duplicate alternatives *)
-      "offer 1 2 3 u 4 0,1 0 0";   (* zero deadline *)
-      "accept 1 2";                (* arity *)
-      "pong 1";
-      "handoff 3 0 4 0,1 0";       (* truncated handoff entry *)
-    ]
+    (fun (line, expected) ->
+       match (Wire.parse line, expected) with
+       | Ok m, Some e when m = e -> ()
+       | Ok m, Some _ ->
+         Alcotest.failf "%S parsed as %S" line (Wire.render m)
+       | Ok _, None -> Alcotest.failf "%S accepted" line
+       | Error e, Some _ -> Alcotest.failf "%S rejected: %s" line e
+       | Error _, None -> ())
+    wire_edge_cases
 
 let test_wire_oversize_via_render () =
   (* a handoff big enough to overflow the line budget must be refused
@@ -290,6 +413,38 @@ let test_transport_dead_node_bounces () =
      && List.nth statuses 3 = Transport.Dead);
   check Alcotest.int "dead drops counted" 2
     (Transport.dropped_dead transport)
+
+(* The transport refuses what the grammar cannot carry: each of these
+   renders to a line the parser rejects. *)
+let test_transport_gate_refuses () =
+  let transport = Transport.create ~n:4 ~capacity:2 () in
+  let refused what f =
+    match f () with
+    | _ -> Alcotest.failf "%s passed the wire gate" what
+    | exception Invalid_argument _ -> ()
+  in
+  let offer alternatives deadline =
+    {
+      Wire.sender = 1;
+      dst = 2;
+      deadline_key = 3;
+      tagged = false;
+      payload =
+        Wire.Offer { Wire.rid = 1; alternatives; arrival = 0; deadline };
+    }
+  in
+  let exchange env () =
+    Transport.exchange transport
+      ~owner:(fun _ -> 0)
+      ~alive:(fun _ -> true)
+      [ env ]
+  in
+  refused "zero deadline" (exchange (offer [ 2; 3 ] 0));
+  refused "duplicate alternative" (exchange (offer [ 2; 2 ] 4));
+  refused "negative accept" (fun () ->
+      Transport.respond transport (Wire.Accept { q = -1; res = 2; slot = 3 }));
+  refused "negative ping" (fun () ->
+      Transport.control transport (Wire.Ping { round = -1 }))
 
 (* ------------------------------------------------------------------ *)
 (* decision parity with Localstrat across node layouts *)
@@ -696,6 +851,8 @@ let () =
         [
           test_wire_roundtrip;
           Alcotest.test_case "rejects" `Quick test_wire_rejects;
+          Alcotest.test_case "wire parse edge cases" `Quick
+            test_wire_edge_cases;
           Alcotest.test_case "oversize handoff" `Quick
             test_wire_oversize_via_render;
         ] );
@@ -704,6 +861,8 @@ let () =
           test_net_transport_parity;
           Alcotest.test_case "dead node bounces" `Quick
             test_transport_dead_node_bounces;
+          Alcotest.test_case "gate refuses what the grammar cannot carry"
+            `Quick test_transport_gate_refuses;
         ] );
       ( "parity",
         [
