@@ -194,12 +194,12 @@ let micro_tests () =
       (Staged.stage (fun () ->
            let rng = Prelude.Rng.create ~seed:11 in
            let placement =
-             Dataserver.Placement.random ~rng ~disks:8 ~items:100 ~copies:2
+             Workload.Placement.random ~rng ~disks:8 ~items:100 ~copies:2
            in
            ignore
-             (Dataserver.Trace.sessions ~rng ~placement ~rounds:60
+             (Workload.Trace.sessions ~rng ~placement ~rounds:60
                 ~arrivals_per_round:1.5 ~mean_length:5 ~d:4 ()
-               : Sched.Instance.t * Dataserver.Trace.session_stats)));
+               : Sched.Instance.t * Workload.Trace.session_stats)));
     (* the cluster transport's wire gate: render and parse back every
        line of one round *)
     Test.make ~name:"cluster/wire-round"

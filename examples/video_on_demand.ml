@@ -21,35 +21,15 @@ let deadline = 5
 let rounds = 400
 let zipf_s = 1.1
 
-(* Replica placement: two distinct uniformly random disks per title. *)
-let placement rng ~copies =
-  Array.init n_titles (fun _ ->
-      let rec pick acc k =
-        if k = 0 then acc
-        else begin
-          let disk = Rng.int rng n_disks in
-          if List.mem disk acc then pick acc k
-          else pick (acc @ [ disk ]) (k - 1)
-        end
-      in
-      pick [] copies)
-
+(* Replica placement: [copies] distinct uniformly random disks per
+   title, then Poisson(load * disks) Zipf-popular title requests per
+   round, both drawn from one generator. *)
 let workload rng ~load ~copies =
-  let disks_of_title = placement rng ~copies in
-  let protos = ref [] in
-  for round = 0 to rounds - 1 do
-    let arrivals =
-      Rng.poisson rng ~lambda:(load *. float_of_int n_disks)
-    in
-    for _ = 1 to arrivals do
-      let title = Rng.zipf rng ~n:n_titles ~s:zipf_s in
-      protos :=
-        Sched.Request.make ~arrival:round
-          ~alternatives:disks_of_title.(title) ~deadline
-        :: !protos
-    done
-  done;
-  Sched.Instance.build ~n_resources:n_disks ~d:deadline (List.rev !protos)
+  let placement =
+    Workload.Placement.random ~rng ~disks:n_disks ~items:n_titles ~copies
+  in
+  Workload.Trace.point_requests ~rng ~placement ~rounds ~load ~d:deadline
+    ~zipf:zipf_s ()
 
 let strategies =
   [

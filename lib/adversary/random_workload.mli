@@ -13,10 +13,10 @@ type profile =
   | Zipf of float
       (** resource ranks follow a Zipf law with the given exponent — the
           hot-spot pattern two-choice replication targets *)
-  | Bursty of { period : int; duty : float; peak : float }
-      (** on/off arrivals: for the first [duty] fraction of each
-          [period], the arrival rate is multiplied by [peak]; off
-          otherwise.  Mean load is preserved. *)
+  | Bursty
+      (** on/off arrivals: for the first 30% of every 20 rounds the
+          arrival rate is 2.5x the base rate, and the other rounds run
+          at the reduced rate that keeps the mean load. *)
 
 val make :
   rng:Prelude.Rng.t -> n:int -> d:int -> rounds:int -> load:float ->

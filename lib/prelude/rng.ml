@@ -68,6 +68,16 @@ let shuffle t a =
     a.(j) <- tmp
   done
 
+let distinct ~k pick =
+  let rec go acc len =
+    if len = k then List.rev acc
+    else begin
+      let x = pick () in
+      if List.mem x acc then go acc len else go (x :: acc) (len + 1)
+    end
+  in
+  go [] 0
+
 let poisson t ~lambda =
   if not (lambda >= 0.) then invalid_arg "Rng.poisson: negative lambda";
   (* split large means so the running product stays away from underflow *)

@@ -42,6 +42,11 @@ val pick : t -> 'a array -> 'a
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)
 
+val distinct : k:int -> (unit -> 'a) -> 'a list
+(** [distinct ~k pick] is the first [k] distinct values [pick] returns,
+    in draw order; a repeat is dropped and drawn again.  [pick] must be
+    able to return [k] distinct values, or this does not terminate. *)
+
 val poisson : t -> lambda:float -> int
 (** Poisson-distributed count with the given mean (Knuth's product
     method; intended for [lambda] up to a few hundred). *)

@@ -926,10 +926,7 @@ let series_average_case ~ctx ~quick =
       [
         ("uniform", None);
         ("zipf1.2", Some (Adversary.Random_workload.Zipf 1.2));
-        ( "bursty",
-          Some
-            (Adversary.Random_workload.Bursty
-               { period = 20; duty = 0.3; peak = 2.5 }) );
+        ("bursty", Some Adversary.Random_workload.Bursty);
       ]
   in
   let seeds = if quick then [ 41 ] else [ 41; 42; 43 ] in
@@ -1517,12 +1514,12 @@ let placement_policies ~ctx ~quick =
   let policies =
     [
       ( "random [Kor97]", "random",
-        Dataserver.Placement.random
+        Workload.Placement.random
           ~rng:(Rng.create ~seed:91) ~disks ~items ~copies:2 );
       ( "chained (partner)", "chained",
-        Dataserver.Placement.partner ~disks ~items ~copies:2 );
+        Workload.Placement.partner ~disks ~items ~copies:2 );
       ( "striped mirrors", "striped",
-        Dataserver.Placement.striped ~disks ~items ~copies:2 );
+        Workload.Placement.striped ~disks ~items ~copies:2 );
     ]
   in
   let outcomes =
@@ -1538,12 +1535,12 @@ let placement_policies ~ctx ~quick =
               (fun ~attempt:_ ->
                  let rng = Rng.create ~seed:92 in
                  let inst, _stats =
-                   Dataserver.Trace.sessions ~rng ~placement ~rounds
+                   Workload.Trace.sessions ~rng ~placement ~rounds
                      ~arrivals_per_round:1.6 ~mean_length:7 ~d ~zipf ()
                  in
                  let r = Harness.run_instance inst (Global.balance ()) in
                  let spread =
-                   Dataserver.Placement.load_spread placement ~popularity
+                   Workload.Placement.load_spread placement ~popularity
                  in
                  let total =
                    Sched.Instance.n_requests

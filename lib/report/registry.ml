@@ -34,43 +34,45 @@ let factory_of_name ~seed ?metrics ?solver name =
   | other -> Error (Printf.sprintf "unknown strategy %S" other)
 
 (* A workload either fixes its own scenario (theorem adversaries) or is
-   generated from the CLI's size parameters. *)
-let instance_of_workload ~name ~n ~d ~rounds ~load ~seed =
-  let rng = Prelude.Rng.create ~seed in
-  let random profile =
-    Ok
-      (Adversary.Random_workload.make ~rng ~n ~d ~rounds ~load ?profile ())
+   generated from the CLI's size parameters.  Generators signal a bad
+   parameter with [Invalid_argument]; {!instance_of_workload} turns it
+   into an [Error]. *)
+let workloads =
+  let random profile ~n ~d ~rounds ~load ~seed =
+    Adversary.Random_workload.make ~rng:(Prelude.Rng.create ~seed) ~n ~d
+      ~rounds ~load ~profile ()
   in
-  let phases = max 1 (rounds / max 1 d) in
-  match name with
-  | "uniform" -> random None
-  | "zipf" -> random (Some (Adversary.Random_workload.Zipf 1.2))
-  | "bursty" ->
-    random
-      (Some
-         (Adversary.Random_workload.Bursty
-            { period = 20; duty = 0.3; peak = 2.5 }))
-  | "thm21" -> Ok (Adversary.Thm21.make ~d ~phases).instance
-  | "thm22" ->
-    (try Ok (Adversary.Thm22.make ~ell:4 ~d ~phases).instance
-     with Invalid_argument m -> Error m)
-  | "thm23" ->
-    (try Ok (Adversary.Thm23.make ~d ~phases).instance
-     with Invalid_argument m -> Error m)
-  | "thm24" ->
-    (try Ok (Adversary.Thm24.make ~d ~phases).instance
-     with Invalid_argument m -> Error m)
-  | "thm25" ->
-    (try Ok (Adversary.Thm25.make ~d ~groups:3 ~intervals:phases).instance
-     with Invalid_argument m -> Error m)
-  | "thm37" -> Ok (fst (Adversary.Thm37.make ~d ~intervals:phases)).instance
-  | other when List.mem other Workload.Zoo.names ->
-    Workload.Zoo.generate ~name:other ~n ~d ~rounds ~load ~seed
-  | other -> Error (Printf.sprintf "unknown workload %S" other)
-
-let workload_names =
+  (* theorem adversaries size themselves from [d] and [rounds]; [n] is
+     unused but, as for every workload, must be positive *)
+  let scenario make ~n ~d ~rounds ~load:_ ~seed:_ =
+    if n < 1 then invalid_arg "n must be >= 1";
+    (make ~d ~phases:(max 1 (rounds / max 1 d)) : Adversary.Scenario.t)
+      .instance
+  in
   [
-    "uniform"; "zipf"; "bursty"; "thm21"; "thm22"; "thm23"; "thm24"; "thm25";
-    "thm37";
+    ("uniform", random Adversary.Random_workload.Uniform);
+    ("zipf", random (Adversary.Random_workload.Zipf 1.2));
+    ("bursty", random Adversary.Random_workload.Bursty);
+    ("thm21", scenario Adversary.Thm21.make);
+    ("thm22", scenario (Adversary.Thm22.make ~ell:4));
+    ("thm23", scenario Adversary.Thm23.make);
+    ("thm24", scenario Adversary.Thm24.make);
+    ( "thm25",
+      scenario (fun ~d ~phases ->
+          Adversary.Thm25.make ~d ~groups:3 ~intervals:phases) );
+    ( "thm37",
+      scenario (fun ~d ~phases ->
+          fst (Adversary.Thm37.make ~d ~intervals:phases)) );
   ]
-  @ Workload.Zoo.names
+  @ List.map
+      (fun (f : Workload.Zoo.family) -> (f.key, f.generate))
+      Workload.Zoo.families
+
+let workload_names = List.map fst workloads
+
+let instance_of_workload ~name ~n ~d ~rounds ~load ~seed =
+  match List.assoc_opt name workloads with
+  | None -> Error (Printf.sprintf "unknown workload %S" name)
+  | Some generate -> (
+      try Ok (generate ~n ~d ~rounds ~load ~seed)
+      with Invalid_argument m -> Error m)

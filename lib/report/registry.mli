@@ -35,7 +35,9 @@ val instance_of_workload :
     [seed]; theorem adversaries ([thm21] …) fix their own scenario and
     use [d] and [rounds] only to size it; the zoo families
     ({!Workload.Zoo.names}: [hotspot], [diurnal], [vod], [overload],
-    [mix]) generate from all of them with per-round keyed seeding. *)
+    [mix]) generate from all of them with per-round keyed seeding.
+    An unknown name or a bad parameter (e.g. [n < 1] or [d < 1]) gives
+    [Error]; it never raises. *)
 
 val workload_names : string list
 (** Every name {!instance_of_workload} accepts, in display order

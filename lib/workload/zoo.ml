@@ -69,6 +69,24 @@ let distinct_pair ~n pick =
 
 let build ~n ~d protos = Sched.Instance.build ~n_resources:n ~d protos
 
+(* The shared per-round loop: every draw of round [r] comes from
+   [keyed ~seed ~tag ~round:r], and [emit rng round push] pushes that
+   round's requests in emission order. *)
+let keyed_rounds ~seed ~tag ~rounds emit =
+  let protos = ref [] in
+  for round = 0 to rounds - 1 do
+    emit (keyed ~seed ~tag ~round) round (fun r -> protos := r :: !protos)
+  done;
+  List.rev !protos
+
+(* [count_of_rate rng rate] requests arriving at [round], each on two
+   distinct alternatives from [pick], with deadline [d]. *)
+let arrivals ~n ~d rng round push ~rate pick =
+  for _ = 1 to count_of_rate rng rate do
+    let alternatives = distinct_pair ~n pick in
+    push (Sched.Request.make ~arrival:round ~alternatives ~deadline:d)
+  done
+
 (* -- hotspot: Zipf popularity over a drifting hot set ----------------- *)
 
 let tag_hotspot = 11
@@ -77,23 +95,15 @@ let tag_hotspot_epoch = 12
 let hotspot ~n ~d ~rounds ~load ~seed =
   check ~n ~d ~rounds ~load;
   let drift = max 1 (rounds / 6) in
-  let protos = ref [] in
-  for round = 0 to rounds - 1 do
-    let shift =
-      (* the epoch RNG re-randomises where rank 0 lives, so the hot
-         spot relocates every [drift] rounds *)
-      Rng.int (keyed ~seed ~tag:tag_hotspot_epoch ~round:(round / drift)) n
-    in
-    let rng = keyed ~seed ~tag:tag_hotspot ~round in
-    let count = count_of_rate rng (load *. float_of_int n) in
-    for _ = 1 to count do
-      let pick () = (Rng.zipf rng ~n ~s:1.2 + shift) mod n in
-      let alternatives = distinct_pair ~n pick in
-      protos :=
-        Sched.Request.make ~arrival:round ~alternatives ~deadline:d :: !protos
-    done
-  done;
-  build ~n ~d (List.rev !protos)
+  build ~n ~d
+    (keyed_rounds ~seed ~tag:tag_hotspot ~rounds (fun rng round push ->
+         let shift =
+           (* the epoch RNG re-randomises where rank 0 lives, so the hot
+              spot relocates every [drift] rounds *)
+           Rng.int (keyed ~seed ~tag:tag_hotspot_epoch ~round:(round / drift)) n
+         in
+         arrivals ~n ~d rng round push ~rate:(load *. float_of_int n)
+           (fun () -> (Rng.zipf rng ~n ~s:1.2 + shift) mod n)))
 
 (* -- diurnal: sinusoidal day curve ------------------------------------ *)
 
@@ -102,20 +112,13 @@ let tag_diurnal = 21
 let diurnal ~n ~d ~rounds ~load ~seed =
   check ~n ~d ~rounds ~load;
   let period = max 4 (rounds / 2) in
-  let protos = ref [] in
-  for round = 0 to rounds - 1 do
-    let rng = keyed ~seed ~tag:tag_diurnal ~round in
-    let phase = 2.0 *. Float.pi *. float_of_int round /. float_of_int period in
-    let rate = load *. float_of_int n *. (1.0 +. (0.75 *. sin phase)) in
-    let count = count_of_rate rng rate in
-    for _ = 1 to count do
-      let pick () = Rng.int rng n in
-      let alternatives = distinct_pair ~n pick in
-      protos :=
-        Sched.Request.make ~arrival:round ~alternatives ~deadline:d :: !protos
-    done
-  done;
-  build ~n ~d (List.rev !protos)
+  build ~n ~d
+    (keyed_rounds ~seed ~tag:tag_diurnal ~rounds (fun rng round push ->
+         let phase =
+           2.0 *. Float.pi *. float_of_int round /. float_of_int period
+         in
+         let rate = load *. float_of_int n *. (1.0 +. (0.75 *. sin phase)) in
+         arrivals ~n ~d rng round push ~rate (fun () -> Rng.int rng n)))
 
 (* -- vod: correlated video-on-demand bursts --------------------------- *)
 
@@ -139,38 +142,27 @@ let vod ~n ~d ~rounds ~load ~seed =
   let session_rate =
     load *. float_of_int n /. (2.0 *. (float_of_int d +. 0.5))
   in
-  let protos = ref [] in
-  for round = 0 to rounds - 1 do
-    let rng = keyed ~seed ~tag:tag_vod ~round in
-    let sessions = count_of_rate rng session_rate in
-    for _ = 1 to sessions do
-      let title = Rng.zipf rng ~n:titles ~s:1.1 in
-      let len = Rng.int_in rng 1 (2 * d) in
-      let viewers = Rng.int_in rng 1 3 in
-      let alternatives = title_alternatives ~seed ~n title in
-      for off = 0 to len - 1 do
-        let arrival = round + off in
-        if arrival < rounds then
-          for _ = 1 to viewers do
-            protos :=
-              Sched.Request.make ~arrival ~alternatives ~deadline:d :: !protos
+  let protos =
+    keyed_rounds ~seed ~tag:tag_vod ~rounds (fun rng round push ->
+        for _ = 1 to count_of_rate rng session_rate do
+          let title = Rng.zipf rng ~n:titles ~s:1.1 in
+          let len = Rng.int_in rng 1 (2 * d) in
+          let viewers = Rng.int_in rng 1 3 in
+          let alternatives = title_alternatives ~seed ~n title in
+          for arrival = round to min (round + len) rounds - 1 do
+            for _ = 1 to viewers do
+              push (Sched.Request.make ~arrival ~alternatives ~deadline:d)
+            done
           done
-      done
-    done
-  done;
+        done)
+  in
   (* sessions span rounds, so protos are not in arrival order; the
      sort is stable, keeping same-round requests in emission order *)
-  let arr = Array.of_list (List.rev !protos) in
-  let () =
-    let key (r : Sched.Request.t) = r.arrival in
-    (* stable sort by arrival *)
-    let tagged = Array.mapi (fun i r -> (key r, i, r)) arr in
-    Array.sort
-      (fun (a, i, _) (b, j, _) -> if a <> b then compare a b else compare i j)
-      tagged;
-    Array.iteri (fun i (_, _, r) -> arr.(i) <- r) tagged
-  in
-  build ~n ~d (Array.to_list arr)
+  build ~n ~d
+    (List.stable_sort
+       (fun (a : Sched.Request.t) (b : Sched.Request.t) ->
+          compare a.arrival b.arrival)
+       protos)
 
 (* -- overload: open-loop ramp ----------------------------------------- *)
 
@@ -178,22 +170,14 @@ let tag_overload = 41
 
 let overload ~n ~d ~rounds ~load ~seed =
   check ~n ~d ~rounds ~load;
-  let protos = ref [] in
-  for round = 0 to rounds - 1 do
-    let rng = keyed ~seed ~tag:tag_overload ~round in
-    let ramp =
-      if rounds = 1 then 1.0
-      else 1.0 +. (float_of_int round /. float_of_int (rounds - 1))
-    in
-    let count = count_of_rate rng (load *. ramp *. float_of_int n) in
-    for _ = 1 to count do
-      let pick () = Rng.int rng n in
-      let alternatives = distinct_pair ~n pick in
-      protos :=
-        Sched.Request.make ~arrival:round ~alternatives ~deadline:d :: !protos
-    done
-  done;
-  build ~n ~d (List.rev !protos)
+  build ~n ~d
+    (keyed_rounds ~seed ~tag:tag_overload ~rounds (fun rng round push ->
+         let ramp =
+           if rounds = 1 then 1.0
+           else 1.0 +. (float_of_int round /. float_of_int (rounds - 1))
+         in
+         arrivals ~n ~d rng round push ~rate:(load *. ramp *. float_of_int n)
+           (fun () -> Rng.int rng n)))
 
 (* -- mix: adversarial bursts alternating with benign traffic ---------- *)
 
@@ -203,52 +187,38 @@ let mix ~n ~d ~rounds ~load ~seed =
   check ~n ~d ~rounds ~load;
   let phase_len = max 1 (2 * d) in
   let tight = max 1 ((d + 1) / 2) in
-  let protos = ref [] in
-  for round = 0 to rounds - 1 do
-    let rng = keyed ~seed ~tag:tag_mix ~round in
-    let phase = round / phase_len in
-    if phase mod 2 = 0 then begin
-      (* adversarial phase: at its first round, a saturating burst on
-         each adjacent resource pair (the paper's block shape); the
-         rest of the phase is drain time.  1.5x the pair's capacity
-         over a window of d rounds, every other request tightened. *)
-      if round mod phase_len = 0 then begin
-        let burst = int_of_float (1.5 *. load *. float_of_int (2 * d)) in
-        for pair = 0 to (n / 2) - 1 do
-          let a = 2 * pair and b = (2 * pair) + 1 in
-          for j = 0 to burst - 1 do
-            let deadline = if j mod 2 = 0 then d else tight in
-            let alternatives = if Rng.bool rng then [ a; b ] else [ b; a ] in
-            protos :=
-              Sched.Request.make ~arrival:round ~alternatives ~deadline
-              :: !protos
-          done
-        done;
-        if n = 1 then begin
-          (* degenerate single-resource instance: burst on resource 0 *)
-          let burst = int_of_float (1.5 *. load *. float_of_int d) in
-          for j = 0 to burst - 1 do
-            let deadline = if j mod 2 = 0 then d else tight in
-            protos :=
-              Sched.Request.make ~arrival:round ~alternatives:[ 0 ] ~deadline
-              :: !protos
-          done
-        end
-      end
-    end
-    else begin
-      (* benign phase: light uniform traffic, room to recover *)
-      let count = count_of_rate rng (0.5 *. load *. float_of_int n) in
-      for _ = 1 to count do
-        let pick () = Rng.int rng n in
-        let alternatives = distinct_pair ~n pick in
-        protos :=
-          Sched.Request.make ~arrival:round ~alternatives ~deadline:d
-          :: !protos
-      done
-    end
-  done;
-  build ~n ~d (List.rev !protos)
+  (* [size] requests at [round] on [alternatives ()], every other one
+     on the tightened deadline *)
+  let burst round push ~size alternatives =
+    for j = 0 to size - 1 do
+      let deadline = if j mod 2 = 0 then d else tight in
+      let alternatives = alternatives () in
+      push (Sched.Request.make ~arrival:round ~alternatives ~deadline)
+    done
+  in
+  build ~n ~d
+    (keyed_rounds ~seed ~tag:tag_mix ~rounds (fun rng round push ->
+         if (round / phase_len) mod 2 = 1 then
+           (* benign phase: light uniform traffic, room to recover *)
+           arrivals ~n ~d rng round push ~rate:(0.5 *. load *. float_of_int n)
+             (fun () -> Rng.int rng n)
+         else if round mod phase_len = 0 then begin
+           (* adversarial phase: at its first round, a saturating burst
+              on each adjacent resource pair (the paper's block shape);
+              the rest of the phase is drain time.  1.5x the pair's
+              capacity over a window of d rounds. *)
+           let size = int_of_float (1.5 *. load *. float_of_int (2 * d)) in
+           for pair = 0 to (n / 2) - 1 do
+             let a = 2 * pair and b = (2 * pair) + 1 in
+             burst round push ~size (fun () ->
+                 if Rng.bool rng then [ a; b ] else [ b; a ])
+           done;
+           if n = 1 then
+             (* degenerate single-resource instance: burst on resource 0 *)
+             burst round push
+               ~size:(int_of_float (1.5 *. load *. float_of_int d))
+               (fun () -> [ 0 ])
+         end))
 
 (* -- registry --------------------------------------------------------- *)
 

@@ -123,6 +123,21 @@ let test_rng_zipf_ranks () =
   check Alcotest.bool "rank 0 most popular" true
     (counts.(0) > counts.(1) && counts.(1) > counts.(4))
 
+(* [distinct] keeps the first occurrence of each value, in draw order,
+   and stops as soon as it has [k] of them *)
+let test_rng_distinct () =
+  let script = ref [ 3; 3; 1; 3; 4; 1; 5; 9 ] in
+  let pick () =
+    match !script with
+    | x :: rest -> script := rest; x
+    | [] -> Alcotest.fail "drew past the k-th distinct value"
+  in
+  check Alcotest.(list int) "first 3 distinct" [ 3; 1; 4 ]
+    (Rng.distinct ~k:3 pick);
+  check Alcotest.(list int) "rest of the script" [ 1; 5; 9 ] !script;
+  check Alcotest.(list int) "k = 0 draws nothing" []
+    (Rng.distinct ~k:0 pick)
+
 let test_rng_invalid_args () =
   let rng = Rng.create ~seed:0 in
   Alcotest.check_raises "int 0"
@@ -632,6 +647,7 @@ let () =
           Alcotest.test_case "bool balanced" `Quick test_rng_bool_balanced;
           Alcotest.test_case "geometric mean" `Quick test_rng_geometric_mean;
           Alcotest.test_case "zipf ranks" `Quick test_rng_zipf_ranks;
+          Alcotest.test_case "distinct" `Quick test_rng_distinct;
           Alcotest.test_case "invalid args" `Quick test_rng_invalid_args;
           prop_int_in_range;
           prop_int_in_bounds;

@@ -81,6 +81,43 @@ let test_registry_knows_every_strategy () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "unknown strategy accepted"
 
+(* Regression: [instance_of_workload] returns a result, yet uniform
+   with n = 0 and thm21/thm37 with d = 0 leaked [Invalid_argument].
+   Every workload must answer a bad size with [Error], and every name
+   it lists must also generate from sane sizes. *)
+let test_registry_workloads_never_raise () =
+  let generate name ~n ~d =
+    match
+      Report.Registry.instance_of_workload ~name ~n ~d ~rounds:12 ~load:1.0
+        ~seed:1
+    with
+    | result -> result
+    | exception e ->
+      Alcotest.failf "%s n=%d d=%d raised %s" name n d
+        (Printexc.to_string e)
+  in
+  List.iter
+    (fun name ->
+       (match generate name ~n:0 ~d:4 with
+        | Error _ -> ()
+        | Ok _ -> Alcotest.failf "%s accepted n = 0" name);
+       match generate name ~n:4 ~d:0 with
+       | Error _ -> ()
+       | Ok _ -> Alcotest.failf "%s accepted d = 0" name)
+    Report.Registry.workload_names;
+  (* d = 6 satisfies every theorem adversary's divisibility constraint
+     except thm25's d = 3x - 1 *)
+  List.iter
+    (fun name ->
+       let d = if name = "thm25" then 5 else 6 in
+       match generate name ~n:4 ~d with
+       | Ok _ -> ()
+       | Error m -> Alcotest.failf "%s: %s" name m)
+    Report.Registry.workload_names;
+  match generate "no_such_workload" ~n:4 ~d:4 with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "unknown workload accepted"
+
 (* Regression: the bench's hand-rolled parser returned None for a value
    flag sitting in final position, silently running the full suite when
    the user typed `--only` and forgot the id. *)
@@ -118,6 +155,8 @@ let () =
             test_registry_seed_reaches_greedy_random;
           Alcotest.test_case "every strategy constructs" `Quick
             test_registry_knows_every_strategy;
+          Alcotest.test_case "workloads return Error, never raise" `Quick
+            test_registry_workloads_never_raise;
         ] );
       ( "flags",
         [
