@@ -145,6 +145,31 @@ let wire_round =
          replies 3 (fun _ node -> Pong { node; round });
        ])
 
+(* One paced serve round's lines (64 resources, d = 4, load 1.0): 64
+   [req] lines in, and out one terminal per request (60 [sched], 4
+   [exp]) plus the [round] ack. *)
+let serve_round =
+  lazy
+    (let open Serve.Protocol in
+     let rng = Prelude.Rng.create ~seed:5 in
+     let round = 600 in
+     let tag i = (round * 64) + i in
+     let req i =
+       let a = Prelude.Rng.int rng 64 in
+       let b = (a + 1 + Prelude.Rng.int rng 63) mod 64 in
+       Submit
+         { tag = tag i; alternatives = [ a; b ];
+           deadline = 1 + Prelude.Rng.int rng 4 }
+     in
+     let reply i =
+       if i < 60 then
+         Scheduled
+           { tag = tag i; round = round + Prelude.Rng.int rng 4;
+             resource = Prelude.Rng.int rng 64 }
+       else Expired { tag = tag i }
+     in
+     (List.init 64 req, List.init 64 reply @ [ Round { round } ]))
+
 let micro_tests () =
   let run_strategy inst factory () =
     ignore (Sched.Engine.run (Lazy.force inst) factory : Sched.Outcome.t)
@@ -210,6 +235,22 @@ let micro_tests () =
                   (Cluster.Wire.parse (Cluster.Wire.render m)
                     : (Cluster.Wire.t, string) result))
              (Lazy.force wire_round)));
+    (* the serve codec: render and parse back one paced round's lines *)
+    Test.make ~name:"serve/line-round"
+      (Staged.stage (fun () ->
+           let ins, outs = Lazy.force serve_round in
+           List.iter
+             (fun m ->
+                ignore
+                  (Serve.Protocol.parse_client (Serve.Protocol.render_client m)
+                    : (Serve.Protocol.client_msg, string) result))
+             ins;
+           List.iter
+             (fun m ->
+                ignore
+                  (Serve.Protocol.parse_server (Serve.Protocol.render_server m)
+                    : (Serve.Protocol.server_msg, string) result))
+             outs));
     (* the Hall capacity bound used as an analytic cross-check *)
     Test.make ~name:"OPT/hall-bound"
       (Staged.stage (fun () ->

@@ -1,21 +1,14 @@
-(* Inter-node wire grammar.  Everything is a single space-separated
-   line behind a leading keyword; integer fields are non-negative
-   (Serve.Protocol.int_field), alternative lists use Sched.Codec's
-   comma grammar, and the LDF key renders max_int as "inf" (cancel
-   messages outrank everything, and 4611686018427387903 on the wire
-   would be noise, not meaning).
+(* Inter-node wire grammar: a keyword and space-separated fields,
+   written and read with Sched.Codec's line primitives.  The LDF key
+   renders max_int as "inf" (cancel messages outrank everything, and
+   4611686018427387903 on the wire would be noise, not meaning).  The
+   transport renders and parses back every message it carries, so both
+   directions are on the cluster's per-message path. *)
 
-   The transport renders and parses back every message it carries, so
-   both directions are on the cluster's per-message path and neither
-   goes through Printf: the renderer writes digits into a per-call
-   Buffer, and the parser dispatches on the keyword and reads the
-   fields with one cursor. *)
-
-module Protocol = Serve.Protocol
+open Sched.Codec.Line
 module Request = Sched.Request
 
-let version = Sched.Codec.version
-let max_line = 65536
+let max_line = max_line
 
 type reqinfo = {
   rid : int;
@@ -79,35 +72,19 @@ let request_of_reqinfo ri =
 (* ------------------------------------------------------------------ *)
 (* rendering *)
 
-let rec add_digits b v =
-  if v >= 10 then add_digits b (v / 10);
-  Buffer.add_char b (Char.unsafe_chr (48 + (v mod 10)))
-
-(* a negative value still renders, and the parser then rejects it *)
-let add_int b v =
-  if v >= 0 then add_digits b v else Buffer.add_string b (string_of_int v)
-
-let field b v =
-  Buffer.add_char b ' ';
-  add_int b v
-
 let add_reqinfo b ri =
-  field b ri.rid;
+  add_field b ri.rid;
   Buffer.add_char b ' ';
-  List.iteri
-    (fun i a ->
-       if i > 0 then Buffer.add_char b ',';
-       add_int b a)
-    ri.alternatives;
-  field b ri.arrival;
-  field b ri.deadline
+  add_alts b ri.alternatives;
+  add_field b ri.arrival;
+  add_field b ri.deadline
 
 let add_env b keyword e =
   Buffer.add_string b keyword;
-  field b e.sender;
-  field b e.dst;
+  add_field b e.sender;
+  add_field b e.dst;
   if e.deadline_key = max_int then Buffer.add_string b " inf"
-  else field b e.deadline_key;
+  else add_field b e.deadline_key;
   Buffer.add_string b (if e.tagged then " t" else " u")
 
 let add_data b e =
@@ -115,41 +92,46 @@ let add_data b e =
   | Offer ri -> add_env b "offer" e; add_reqinfo b ri
   | Probe ri -> add_env b "probe" e; add_reqinfo b ri
   | Cancel { q; old_res; old_t } ->
-    add_env b "cancel" e; field b q; field b old_res; field b old_t
+    add_env b "cancel" e;
+    add_field b q; add_field b old_res; add_field b old_t
   | Rival ri -> add_env b "rival" e; add_reqinfo b ri
-  | Swap { r; q } -> add_env b "swap" e; field b r; add_reqinfo b q
-  | Rehome { r; res } -> add_env b "rehome" e; field b res; add_reqinfo b r
+  | Swap { r; q } -> add_env b "swap" e; add_field b r; add_reqinfo b q
+  | Rehome { r; res } ->
+    add_env b "rehome" e; add_field b res; add_reqinfo b r
   | Loadq -> add_env b "loadq" e
   | Assign ri -> add_env b "assign" e; add_reqinfo b ri
 
 let add_reply b = function
   | Accept { q; res; slot } ->
-    Buffer.add_string b "accept"; field b q; field b res; field b slot
-  | Full { q; res } -> Buffer.add_string b "full"; field b q; field b res
-  | Ack { q; res } -> Buffer.add_string b "ack"; field b q; field b res
+    Buffer.add_string b "accept";
+    add_field b q; add_field b res; add_field b slot
+  | Full { q; res } ->
+    Buffer.add_string b "full"; add_field b q; add_field b res
+  | Ack { q; res } ->
+    Buffer.add_string b "ack"; add_field b q; add_field b res
   | Freeat { q; res; slot } ->
-    Buffer.add_string b "freeat"; field b q; field b res; field b slot
+    Buffer.add_string b "freeat";
+    add_field b q; add_field b res; add_field b slot
   | Served { res; round; q } ->
-    Buffer.add_string b "served"; field b res; field b round; field b q
+    Buffer.add_string b "served";
+    add_field b res; add_field b round; add_field b q
   | Pong { node; round } ->
-    Buffer.add_string b "pong"; field b node; field b round
+    Buffer.add_string b "pong"; add_field b node; add_field b round
 
 let add_control b = function
   | Hello { node } ->
-    Buffer.add_string b "hello "; Buffer.add_string b version; field b node
-  | Ping { round } -> Buffer.add_string b "ping"; field b round
+    Buffer.add_string b "hello ";
+    Buffer.add_string b Sched.Codec.version;
+    add_field b node
+  | Ping { round } -> Buffer.add_string b "ping"; add_field b round
   | Join { node; round } ->
-    Buffer.add_string b "join "; Buffer.add_string b version;
-    field b node; field b round
+    Buffer.add_string b "join "; Buffer.add_string b Sched.Codec.version;
+    add_field b node; add_field b round
   | Handoff { res; slots } ->
     Buffer.add_string b "handoff";
-    field b res;
-    List.iteri
-      (fun i (t, ri) ->
-         Buffer.add_char b (if i = 0 then ' ' else ';');
-         add_int b t;
-         add_reqinfo b ri)
-      slots
+    add_field b res;
+    if slots <> [] then Buffer.add_char b ' ';
+    add_list b ';' (fun b (t, ri) -> add_int b t; add_reqinfo b ri) slots
 
 let render m =
   let b = Buffer.create 64 in
@@ -162,88 +144,21 @@ let render m =
 (* ------------------------------------------------------------------ *)
 (* parsing *)
 
-exception Malformed of string
-
-let fail msg = raise (Malformed msg)
-
-(* A cursor over one line.  Fields are separated by single spaces and
-   the current one ends at the next space or at [lim]; [pos] is where
-   the next field starts, [lim + 1] once the last one is read.  [lim]
-   is the line's end except inside a handoff entry. *)
-type cursor = { line : string; mutable pos : int; mutable lim : int }
-
-let rec scan s ch i lim =
-  if i < lim && s.[i] <> ch then scan s ch (i + 1) lim else i
-
-(* end of the field at the cursor, which must exist *)
-let field_end c =
-  if c.pos > c.lim then fail "truncated line";
-  scan c.line ' ' c.pos c.lim
-
-(* [s.[i..j)] as a non-negative int.  Up to eighteen plain digits are
-   decoded here (they cannot overflow); every other field, including
-   int_of_string's other forms ("0x10", "+1", "1_0") and longer ones,
-   goes through Serve.Protocol.int_field. *)
-let int_at ~what s i j =
-  let rec digits k acc =
-    if k = j then acc
-    else
-      match s.[k] with
-      | '0' .. '9' as ch -> digits (k + 1) ((acc * 10) + Char.code ch - 48)
-      | _ -> -1
-  in
-  match if j - i < 1 || j - i > 18 then -1 else digits i 0 with
-  | -1 ->
-    (match Protocol.int_field ~what (String.sub s i (j - i)) with
-     | Ok v -> v
-     | Error e -> fail e)
-  | v -> v
-
-let nat c ~what =
-  let i = c.pos in
-  let j = field_end c in
-  c.pos <- j + 1;
-  int_at ~what c.line i j
-
-let word c =
-  let i = c.pos in
-  let j = field_end c in
-  c.pos <- j + 1;
-  String.sub c.line i (j - i)
-
-(* Sched.Codec.parse_alts' rules: a non-empty comma list of distinct
-   non-negative ints, each read as int_of_string reads it *)
-let alts c =
-  let s = c.line and i = c.pos in
-  let j = field_end c in
-  c.pos <- j + 1;
-  if i = j then fail "empty alternative list";
-  let rec go i acc =
-    let k = scan s ',' i j in
-    let v = int_at ~what:"resource" s i k in
-    if List.mem v acc then fail (Printf.sprintf "duplicate resource %d" v);
-    if k = j then List.rev (v :: acc) else go (k + 1) (v :: acc)
-  in
-  go i []
-
 let key c =
-  let s = c.line and i = c.pos in
-  if field_end c - i = 3 && s.[i] = 'i' && s.[i + 1] = 'n' && s.[i + 2] = 'f'
-  then begin
-    c.pos <- i + 4;
+  let s = c.line and i = next c in
+  if c.pos - i = 4 && s.[i] = 'i' && s.[i + 1] = 'n' && s.[i + 2] = 'f' then
     max_int
-  end
-  else nat c ~what:"deadline key"
+  else nat_at ~what:"deadline key" s i (c.pos - 1)
 
 let tag c =
-  let i = c.pos in
-  if field_end c - i = 1 && (c.line.[i] = 't' || c.line.[i] = 'u') then begin
-    c.pos <- i + 2;
-    c.line.[i] = 't'
-  end
-  else fail (Printf.sprintf "malformed tag flag %S (want t or u)" (word c))
-
-let finish c = if c.pos <= c.lim then fail "trailing data after the last field"
+  let i = next c in
+  match if c.pos - i = 2 then c.line.[i] else ' ' with
+  | 't' -> true
+  | 'u' -> false
+  | _ ->
+    fail
+      (Printf.sprintf "malformed tag flag %S (want t or u)"
+         (String.sub c.line i (c.pos - 1 - i)))
 
 let reqinfo c =
   let rid = nat c ~what:"request id" in
@@ -262,31 +177,15 @@ let env c payload =
   let payload = payload c in
   Data { sender; dst; deadline_key; tagged; payload }
 
-let versioned c =
-  let v = word c in
-  if v <> version then
-    fail (Printf.sprintf "unsupported protocol version %S (want %s)" v version)
-
-(* "<res>[ <t> <reqinfo>[;<t> <reqinfo>]...]": each ';'-separated entry
-   is read with the cursor's limit at its end.  A bare trailing space is
-   an empty entry list. *)
+(* "<res>[ <t> <reqinfo>[;<t> <reqinfo>]...]"; a bare trailing space is
+   an empty entry list *)
 let handoff c =
   let res = nat c ~what:"resource" in
-  let len = String.length c.line in
-  if c.pos >= len then begin
-    c.pos <- len + 1;
-    Control (Handoff { res; slots = [] })
-  end
-  else
-    let rec entries acc =
-      c.lim <- scan c.line ';' c.pos len;
-      let t = nat c ~what:"slot round" in
-      let ri = reqinfo c in
-      finish c;
-      let acc = (t, ri) :: acc in
-      if c.lim = len then List.rev acc else entries acc
-    in
-    Control (Handoff { res; slots = entries [] })
+  let slot _ c =
+    let t = nat c ~what:"slot round" in
+    (t, reqinfo c)
+  in
+  Control (Handoff { res; slots = entries c ';' slot })
 
 let message c = function
   | "offer" -> env c (fun c -> Offer (reqinfo c))
@@ -352,7 +251,7 @@ let parse line =
   if len > max_line then
     Error (Printf.sprintf "line too long (%d bytes, max %d)" len max_line)
   else
-    let c = { line; pos = 0; lim = len } in
+    let c = cursor line in
     let keyword = word c in
     match
       let m = message c keyword in

@@ -1,9 +1,10 @@
 (** The inter-node wire protocol of the cluster tier (version rsp/1).
 
-    Line-delimited text, one message per line, sharing {!Sched.Codec}'s
-    version token and alternative-list grammar and {!Serve.Protocol}'s
-    keyword framing — a cluster trace and a serve trace speak the same
-    dialect.  Three families:
+    Line-delimited text, one message per line, written and read with
+    {!Sched.Codec.Line}: the same version token, field framing, integer
+    rule and alternative-list grammar as a saved trace and a serve line
+    — a cluster trace and a serve trace speak the same dialect.  Three
+    families:
 
     - {e Data} ([Data of env]): request-to-resource traffic.  These are
       the messages the paper's communication model meters: per
@@ -22,25 +23,11 @@
     every well-formed message.  [parse] rejects lines longer than
     {!max_line} outright — a peer cannot feed the router an unbounded
     allocation — and rejects [hello]/[join] carrying any version token
-    other than {!version}.
-
-    The transport renders and parses back every line it carries, so
-    the codec is on the cluster's per-message path.  There is one
-    renderer, which writes digits into a per-call buffer without
-    [Printf], and one parser, which matches the keyword and reads the
-    fields in place with a single cursor.  The accepted language is
-    that of [int_of_string] and {!Sched.Codec.parse_alts}: integer
-    fields may be written [0x10], [+1], [1_0] or [007] and go up to
-    [max_int]; fields are separated by exactly one space; alternative
-    lists reject empty, negative and duplicate entries.  A test table
-    of edge-case lines pins it. *)
-
-val version : string
-(** ["rsp/1"], shared with {!Sched.Codec.version}. *)
+    other than {!Sched.Codec.version}. *)
 
 val max_line : int
-(** Longest accepted line in bytes (65536); [parse] rejects longer
-    ones without inspecting them. *)
+(** {!Sched.Codec.Line.max_line} (65536 bytes); [parse] rejects longer
+    lines without inspecting them. *)
 
 type reqinfo = {
   rid : int;                (** request id, [>= 0] *)
@@ -97,9 +84,9 @@ type reply =
   | Pong of { node : int; round : int }
 
 type control =
-  | Hello of { node : int }          (** carries {!version} on the wire *)
+  | Hello of { node : int }          (** carries the version on the wire *)
   | Ping of { round : int }
-  | Join of { node : int; round : int }  (** rejoin; carries {!version} *)
+  | Join of { node : int; round : int }  (** rejoin; carries the version *)
   | Handoff of { res : int; slots : (int * reqinfo) list }
       (** move [res]'s future slots [(round, occupant)] to its new
           owner after a rebalance *)

@@ -1,14 +1,9 @@
-(* The reqsched wire protocol: one message per line, version rsp/1.
-
-   The request-line grammar (tag, comma-separated alternatives,
-   deadline) is Sched.Codec's — the same bytes describe a request in a
-   saved trace (where the first field is the arrival round) and on the
-   wire (where it is the client's tag), which is what makes recorded
-   traces replayable through the server.
-
-   Free-text fields: a client/server name is a single token (no spaces);
+(* The reqsched wire protocol: one message per line, version rsp/1, in
+   Sched.Codec's line grammar.  A client/server name is a single token;
    reject and error details are rest-of-line (spaces allowed, newlines
    never).  Renderers never emit '\n'; the framing layer adds it. *)
+
+open Sched.Codec.Line
 
 let version = Sched.Codec.version
 
@@ -43,144 +38,111 @@ let render_reject_reason = function
   | Invalid "" -> "invalid"
   | Invalid detail -> "invalid " ^ detail
 
-let render_req { tag; alternatives; deadline } =
-  Sched.Codec.render_req_fields ~first:tag ~alternatives ~deadline
+let add_req b { tag; alternatives; deadline } =
+  Sched.Codec.add_req_fields b ~first:tag ~alternatives ~deadline
 
-let render_client = function
-  | Hello { client } -> Printf.sprintf "hello %s %s" version client
-  | Submit r -> "req " ^ render_req r
-  | Batch rs -> "batch " ^ String.concat ";" (List.map render_req rs)
-  | Tick -> "tick"
-  | Bye -> "bye"
+let add_client b = function
+  | Hello { client } -> Buffer.add_string b ("hello " ^ version ^ " " ^ client)
+  | Submit r -> Buffer.add_string b "req "; add_req b r
+  | Batch rs -> Buffer.add_string b "batch "; add_list b ';' add_req rs
+  | Tick -> Buffer.add_string b "tick"
+  | Bye -> Buffer.add_string b "bye"
 
-let render_server = function
-  | Welcome { server } -> Printf.sprintf "welcome %s %s" version server
+let add_server b = function
+  | Welcome { server } ->
+    Buffer.add_string b ("welcome " ^ version ^ " " ^ server)
   | Scheduled { tag; round; resource } ->
-    Printf.sprintf "sched %d %d %d" tag round resource
+    Buffer.add_string b "sched";
+    add_field b tag; add_field b round; add_field b resource
   | Rejected { tag; reason } ->
-    Printf.sprintf "rej %d %s" tag (render_reject_reason reason)
-  | Expired { tag } -> Printf.sprintf "exp %d" tag
-  | Round { round } -> Printf.sprintf "round %d" round
-  | Error { message = "" } -> "error"
-  | Error { message } -> "error " ^ message
+    Buffer.add_string b "rej"; add_field b tag;
+    Buffer.add_char b ' '; Buffer.add_string b (render_reject_reason reason)
+  | Expired { tag } -> Buffer.add_string b "exp"; add_field b tag
+  | Round { round } -> Buffer.add_string b "round"; add_field b round
+  | Error { message = "" } -> Buffer.add_string b "error"
+  | Error { message } -> Buffer.add_string b ("error " ^ message)
+
+let render add m =
+  let b = Buffer.create 64 in
+  add b m;
+  Buffer.contents b
+
+let render_client = render add_client
+let render_server = render add_server
 
 (* ------------------------------------------------------------------ *)
 (* parsing *)
 
-let strip_keyword ~keyword line =
-  let kl = String.length keyword in
-  let ll = String.length line in
-  if ll = kl && line = keyword then Some ""
-  else if ll > kl && String.sub line 0 kl = keyword && line.[kl] = ' ' then
-    Some (String.sub line (kl + 1) (ll - kl - 1))
-  else None
+(* A keyword alone on its line reads as one followed by a space: an
+   empty field is left. *)
+let keyword c =
+  let k = word c in
+  if c.pos > c.lim then c.pos <- c.lim;
+  k
 
-let int_field ~what s =
-  match int_of_string_opt s with
-  | Some v when v >= 0 -> Ok v
-  | Some v -> Error (Printf.sprintf "negative %s %d" what v)
-  | None -> Error (Printf.sprintf "malformed %s %S" what s)
+(* "<version> <name>" after hello/welcome *)
+let greeting c ~keyword =
+  versioned c;
+  let name = rest c in
+  if name = "" || String.contains name ' ' then
+    fail (Printf.sprintf "expected '%s %s <name>'" keyword version);
+  name
 
-let parse_hello ~keyword rest =
-  match String.split_on_char ' ' rest with
-  | [ v; name ] when v = version && name <> "" -> Ok name
-  | v :: _ when v <> version ->
-    Error
-      (Printf.sprintf "unsupported protocol version %S (want %s)" v version)
-  | _ -> Error (Printf.sprintf "expected '%s %s <name>'" keyword version)
-
-let parse_req rest =
-  match Sched.Codec.parse_req_fields ~what:"tag" rest with
-  | Ok (tag, alternatives, deadline) when tag >= 0 ->
-    Ok { tag; alternatives; deadline }
-  | Ok (tag, _, _) -> Error (Printf.sprintf "negative tag %d" tag)
-  | Error _ as e -> e
+let request c =
+  let tag, alternatives, deadline = Sched.Codec.req_fields c ~what:"tag" in
+  if tag < 0 then fail (Printf.sprintf "negative tag %d" tag);
+  { tag; alternatives; deadline }
 
 let parse_client line =
-  match line with
-  | "tick" -> Ok Tick
-  | "bye" -> Ok Bye
-  | _ ->
-    (match strip_keyword ~keyword:"hello" line with
-     | Some rest ->
-       Result.map (fun client -> Hello { client })
-         (parse_hello ~keyword:"hello" rest)
-     | None ->
-       (match strip_keyword ~keyword:"req" line with
-        | Some rest -> Result.map (fun r -> Submit r) (parse_req rest)
-        | None ->
-          (match strip_keyword ~keyword:"batch" line with
-           | Some "" -> Error "empty batch"
-           | Some rest ->
-             let rec go acc = function
-               | [] -> Ok (Batch (List.rev acc))
-               | part :: parts ->
-                 (match parse_req part with
-                  | Ok r -> go (r :: acc) parts
-                  | Error m ->
-                    Error
-                      (Printf.sprintf "batch entry %d: %s"
-                         (List.length acc) m))
-             in
-             go [] (String.split_on_char ';' rest)
-           | None ->
-             Error (Printf.sprintf "unknown client message %S" line))))
+  let c = cursor line in
+  match
+    match keyword c with
+    | "req" -> Submit (request c)
+    | "batch" ->
+      let entry i c =
+        try request c
+        with Malformed m -> fail (Printf.sprintf "batch entry %d: %s" i m)
+      in
+      (match entries c ';' entry with
+       | [] -> fail "empty batch"
+       | rs -> Batch rs)
+    | "tick" when line = "tick" -> Tick
+    | "bye" when line = "bye" -> Bye
+    | "hello" -> Hello { client = greeting c ~keyword:"hello" }
+    | _ -> fail (Printf.sprintf "unknown client message %S" line)
+  with
+  | m -> Ok m
+  | exception Malformed e -> Stdlib.Error e
 
-let parse_reject_reason s =
-  match s with
-  | "overload" -> Ok Overload
-  | "draining" -> Ok Draining
-  | _ ->
-    (match strip_keyword ~keyword:"invalid" s with
-     | Some detail -> Ok (Invalid detail)
-     | None -> Error (Printf.sprintf "unknown reject reason %S" s))
+let reject_reason = function
+  | "overload" -> Overload
+  | "draining" -> Draining
+  | "invalid" -> Invalid ""
+  | s when String.starts_with ~prefix:"invalid " s ->
+    Invalid (String.sub s 8 (String.length s - 8))
+  | s -> fail (Printf.sprintf "unknown reject reason %S" s)
 
 let parse_server line =
-  match strip_keyword ~keyword:"welcome" line with
-  | Some rest ->
-    Result.map (fun server -> Welcome { server })
-      (parse_hello ~keyword:"welcome" rest)
-  | None ->
-    (match strip_keyword ~keyword:"sched" line with
-     | Some rest ->
-       (match String.split_on_char ' ' rest with
-        | [ t; r; s ] ->
-          let ( let* ) = Result.bind in
-          let* tag = int_field ~what:"tag" t in
-          let* round = int_field ~what:"round" r in
-          let* resource = int_field ~what:"resource" s in
-          Ok (Scheduled { tag; round; resource })
-        | _ -> Error "expected 'sched <tag> <round> <resource>'")
-     | None ->
-       (match strip_keyword ~keyword:"rej" line with
-        | Some rest ->
-          let tag_s, reason_s =
-            match String.index_opt rest ' ' with
-            | Some i ->
-              ( String.sub rest 0 i,
-                String.sub rest (i + 1) (String.length rest - i - 1) )
-            | None -> (rest, "")
-          in
-          let ( let* ) = Result.bind in
-          let* tag = int_field ~what:"tag" tag_s in
-          let* reason = parse_reject_reason reason_s in
-          Ok (Rejected { tag; reason })
-        | None ->
-          (match strip_keyword ~keyword:"exp" line with
-           | Some rest ->
-             Result.map (fun tag -> Expired { tag })
-               (int_field ~what:"tag" rest)
-           | None ->
-             (match strip_keyword ~keyword:"round" line with
-              | Some rest ->
-                Result.map (fun round -> Round { round })
-                  (int_field ~what:"round" rest)
-              | None ->
-                (match strip_keyword ~keyword:"error" line with
-                 | Some message -> Ok (Error { message })
-                 | None ->
-                   Stdlib.Error
-                     (Printf.sprintf "unknown server message %S" line))))))
+  let c = cursor line in
+  match
+    match keyword c with
+    | "sched" ->
+      if fields c <> 3 then fail "expected 'sched <tag> <round> <resource>'";
+      let tag = nat c ~what:"tag" in
+      let round = nat c ~what:"round" in
+      let resource = nat c ~what:"resource" in
+      Scheduled { tag; round; resource }
+    | "exp" -> Expired { tag = nat_at ~what:"tag" line c.pos c.lim }
+    | "round" -> Round { round = nat_at ~what:"round" line c.pos c.lim }
+    | "rej" ->
+      let tag = nat c ~what:"tag" in
+      Rejected { tag; reason = reject_reason (rest c) }
+    | "welcome" -> Welcome { server = greeting c ~keyword:"welcome" }
+    | "error" -> Error { message = rest c }
+    | _ -> fail (Printf.sprintf "unknown server message %S" line)
+  with
+  | m -> Ok m
+  | exception Malformed e -> Stdlib.Error e
 
 let is_terminal = function
   | Scheduled _ | Rejected _ | Expired _ -> true

@@ -1,9 +1,10 @@
 (** The reqsched wire protocol (version rsp/1).
 
     Line-delimited text, one message per line; renderers never emit
-    newlines (the framing layer appends ['\n']).  The request-line
-    grammar is {!Sched.Codec}'s, so a saved trace and the wire speak
-    the same bytes — the basis of byte-identical replay.
+    newlines (the framing layer appends ['\n']).  The line grammar
+    ({!Sched.Codec.Line}) and the request-line grammar are
+    {!Sched.Codec}'s, so a saved trace and the wire speak the same
+    bytes — the basis of byte-identical replay.
 
     Conversation shape: the client opens with [Hello] and the server
     answers [Welcome]; each submitted request — one per [Submit] line,
@@ -17,8 +18,6 @@
     = Ok m] and [parse_server (render_server m) = Ok m] for every
     well-formed message (names are space-free tokens; reject/error
     details are newline-free rest-of-line text). *)
-
-val version : string
 
 type request = {
   tag : int;                (** client-chosen, [>= 0]; echoed verbatim *)
@@ -64,16 +63,3 @@ val is_terminal : server_msg -> bool
 
 val terminal_tag : server_msg -> int option
 (** The tag of a terminal response; [None] otherwise. *)
-
-(** {2 Grammar helpers}
-
-    Shared with [Cluster.Wire] so the inter-node grammar stays
-    byte-compatible with this one (same keyword framing, same integer
-    field rules) instead of drifting behind a private copy. *)
-
-val strip_keyword : keyword:string -> string -> string option
-(** [Some rest] when [line] is [keyword] alone (rest = [""]) or
-    [keyword ^ " " ^ rest]; [None] otherwise. *)
-
-val int_field : what:string -> string -> (int, string) result
-(** Non-negative integer field; errors name [what]. *)

@@ -150,8 +150,6 @@ type conn = {
   mutable closed : bool;
 }
 
-let max_line = 65536
-
 let io_loop t =
   let m = t.io_m in
   let conns : (int, conn) Hashtbl.t = Hashtbl.create 32 in
@@ -284,7 +282,11 @@ let io_loop t =
   in
   let handle_line conn line =
     Obs.Metrics.incr m "serve.lines_in";
-    match Protocol.parse_client line with
+    match
+      if String.length line > Sched.Codec.Line.max_line then
+        Error "line too long"
+      else Protocol.parse_client line
+    with
     | Error detail -> protocol_error conn detail
     | Ok (Protocol.Hello _) ->
       if conn.greeted then protocol_error conn "duplicate hello"
@@ -313,11 +315,10 @@ let io_loop t =
       | n ->
         conn.last_read <- Unix.gettimeofday ();
         Buffer.add_subbytes conn.inq scratch 0 n;
-        if
-          Buffer.length conn.inq > max_line
-          && not (String.contains (Buffer.contents conn.inq) '\n')
-        then protocol_error conn "line too long"
-        else List.iter (handle_line conn) (Lineio.extract_lines conn.inq)
+        List.iter (handle_line conn) (Lineio.extract_lines conn.inq);
+        (* what is left is one partial line *)
+        if Buffer.length conn.inq > Sched.Codec.Line.max_line then
+          protocol_error conn "line too long"
       | exception
           Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
         -> ()

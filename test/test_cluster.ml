@@ -185,7 +185,7 @@ let test_wire_rejects () =
    codec: each line with the message it parses to, or [None] for a
    rejection.  Integer fields follow int_of_string (hex, sign,
    underscores, leading zeros, up to max_int), alternative lists
-   Sched.Codec.parse_alts (no empty, negative or duplicate entry), and
+   Sched.Codec.Line.alts (no empty, negative or duplicate entry), and
    fields are separated by exactly one space. *)
 let wire_edge_cases =
   let accept q res slot = Some (Wire.Reply (Wire.Accept { q; res; slot })) in

@@ -34,8 +34,73 @@ let of_item (p : Placement.t) =
 let placement ~seed =
   Placement.random ~rng:(Rng.create ~seed) ~disks:8 ~items:40 ~copies:2
 
+(* A seeded stream of every serve message kind, rendered one per line.
+   Integer fields mix 0, 1..9999, wide values and max_int - 1; free
+   text mixes tokens, spaces and the empty string. *)
+module Protocol = Serve.Protocol
+
+let serve_lines ~seed render gen =
+  let rng = Rng.create ~seed in
+  let b = Buffer.create 65536 in
+  for _ = 1 to 2000 do
+    Buffer.add_string b (render (gen rng));
+    Buffer.add_char b '\n'
+  done;
+  Buffer.contents b
+
+let value rng =
+  match Rng.int rng 4 with
+  | 0 -> 0
+  | 1 -> Rng.int rng 10_000
+  | 2 -> Rng.int rng (max_int - 1)
+  | _ -> max_int - 1
+
+let token rng =
+  String.init (1 + Rng.int rng 8) (fun _ -> Char.chr (97 + Rng.int rng 26))
+
+let text rng =
+  String.concat " " (List.init (Rng.int rng 4) (fun _ -> token rng))
+
+let request rng =
+  let alternatives =
+    Rng.distinct ~k:(1 + Rng.int rng 3) (fun () -> value rng)
+  in
+  { Protocol.tag = value rng; alternatives; deadline = 1 + value rng }
+
+let client_msg rng =
+  match Rng.int rng 5 with
+  | 0 -> Protocol.Hello { client = token rng }
+  | 1 -> Protocol.Submit (request rng)
+  | 2 -> Protocol.Batch (List.init (1 + Rng.int rng 5) (fun _ -> request rng))
+  | 3 -> Protocol.Tick
+  | _ -> Protocol.Bye
+
+let server_msg rng =
+  match Rng.int rng 6 with
+  | 0 -> Protocol.Welcome { server = token rng }
+  | 1 ->
+    let tag = value rng in
+    let round = value rng in
+    Protocol.Scheduled { tag; round; resource = value rng }
+  | 2 ->
+    let tag = value rng in
+    let reason =
+      match Rng.int rng 3 with
+      | 0 -> Protocol.Overload
+      | 1 -> Protocol.Draining
+      | _ -> Protocol.Invalid (text rng)
+    in
+    Protocol.Rejected { tag; reason }
+  | 3 -> Protocol.Expired { tag = value rng }
+  | 4 -> Protocol.Round { round = value rng }
+  | _ -> Protocol.Error { message = text rng }
+
 let cases =
   [
+    ("serve client lines", fun () ->
+        serve_lines ~seed:51 Protocol.render_client client_msg);
+    ("serve server lines", fun () ->
+        serve_lines ~seed:52 Protocol.render_server server_msg);
     ("random uniform", fun () -> random ~seed:11 ());
     ("random zipf 1.2", fun () -> random ~seed:12 ~profile:(RW.Zipf 1.2) ());
     ("random bursty", fun () -> random ~seed:13 ~profile:bursty ());
@@ -107,6 +172,8 @@ let cases =
 
 let expected =
   [
+    ("serve client lines", "6bf34446acb1c199f54920a88065a5ed");
+    ("serve server lines", "48f18acf78ac852a53abe101b3577007");
     ("random uniform", "ac0a6c690cdc8a75945a264f8cf9fc72");
     ("random zipf 1.2", "86b2f0df1ab99662c2f77b265131a5b2");
     ("random bursty", "76b50164fba658073b77df0cb7520387");

@@ -91,31 +91,182 @@ let prop_server_roundtrip =
        (not (String.contains line '\n'))
        && Protocol.parse_server line = Ok m)
 
-let test_protocol_rejects () =
-  let bad_client =
-    [
-      ""; "nope"; "hello"; "hello rsp/1"; "hello rsp/9 x"; "req";
-      "req x 0 1"; "req 0 0,0 1"; "req -1 0 1"; "req 0 0 0"; "req 0  1";
-      "batch"; "batch "; "batch ;"; "batch 0 0 1;"; "batch 0 0 1;x 1 2";
-      "batch -1 0 1"; "batch 0 0 1;;1 1 1";
-    ]
+(* The serve codec's accepted language, pinned line by line: each client
+   line with the message it parses to or its exact error text (the
+   server sends that text back in an [error] line), each server line
+   with its message or [None] for a rejection.  Integer fields follow
+   int_of_string (hex, sign, underscores, leading zeros, up to max_int);
+   fields are separated by exactly one space; a batch is ';'-separated
+   request entries, none of them empty. *)
+let client_edge_cases =
+  let req tag alternatives deadline =
+    Ok (Protocol.Submit { Protocol.tag; alternatives; deadline })
   in
-  List.iter
-    (fun line ->
-       match Protocol.parse_client line with
-       | Error _ -> ()
-       | Ok _ -> Alcotest.failf "client line %S accepted" line)
-    bad_client;
-  let bad_server =
-    [ ""; "welcome"; "welcome rsp/0 x"; "sched 1 2"; "rej"; "rej x";
-      "rej 0 nonsense"; "exp"; "round x" ]
+  let err e = Error e in
+  let expected s =
+    err (Printf.sprintf "expected '<tag> <alts> <deadline>': %S" s)
   in
+  let unknown l = err (Printf.sprintf "unknown client message %S" l) in
+  [
+    ("req 0x10 0 1", req 16 [ 0 ] 1);
+    ("req +1 0 1", req 1 [ 0 ] 1);
+    ("req 1_0 0 1", req 10 [ 0 ] 1);
+    ("req 007 0 1", req 7 [ 0 ] 1);
+    ("req -0 0 1", req 0 [ 0 ] 1);
+    ("req 4611686018427387903 0 1", req max_int [ 0 ] 1);
+    ("req 1000000000000000000 0 1", req 1_000_000_000_000_000_000 [ 0 ] 1);
+    ( "req 9999999999999999999 0 1",
+      err "malformed tag \"9999999999999999999\"" );
+    ("req 0x7fffffffffffffff 0 1", err "negative tag -1");
+    ("req 0 0x1,+2,0_3,004 0b11", req 0 [ 1; 2; 3; 4 ] 3);
+    ( "req 0 4611686018427387903 4611686018427387903",
+      req 0 [ max_int ] max_int );
+    ("req 0 0 4611686018427388000",
+     err "malformed deadline \"4611686018427388000\"");
+    ("req 0 0,4611686018427388000 1",
+     err "malformed resource \"4611686018427388000\"");
+    ("req 0  0 1", expected "0  0 1");
+    ("req 0  1", err "empty alternative list");
+    ("req  0 0 1", expected " 0 0 1");
+    ("req 0 0 1 ", expected "0 0 1 ");
+    ("req", expected "");
+    ("req ", expected "");
+    ("req 0 0", expected "0 0");
+    ("req 0 0,0 1", err "duplicate resource 0");
+    ("req 0 -1 1", err "negative resource -1");
+    ("req 0 0,x 1", err "malformed resource \"x\"");
+    ("req 0 , 1", err "malformed resource \"\"");
+    ("req 0 0,,1 1", err "malformed resource \"\"");
+    ("req 0 0;1 1", err "malformed resource \"0;1\"");
+    ("req 0 0 0", err "deadline 0 must be >= 1");
+    ("req -1 0 0", err "deadline 0 must be >= 1");
+    ("req -1 0 1", err "negative tag -1");
+    ("req x 0 1", err "malformed tag \"x\"");
+    ("req x y z", err "malformed tag \"x\"");
+    ("req 0 y 0", err "malformed resource \"y\"");
+    ("req 0 0 x", err "malformed deadline \"x\"");
+    (" req 0 0 1", unknown " req 0 0 1");
+    ("req\t0 0 1", unknown "req\t0 0 1");
+    ( "batch 0 0 1;1 1,2 2",
+      Ok
+        (Protocol.Batch
+           [
+             { Protocol.tag = 0; alternatives = [ 0 ]; deadline = 1 };
+             { Protocol.tag = 1; alternatives = [ 1; 2 ]; deadline = 2 };
+           ]) );
+    ("batch", err "empty batch");
+    ("batch ", err "empty batch");
+    ("batch ;", err "batch entry 0: expected '<tag> <alts> <deadline>': \"\"");
+    ( "batch 0 0 1;",
+      err "batch entry 1: expected '<tag> <alts> <deadline>': \"\"" );
+    ( "batch 0 0 1;;1 1 1",
+      err "batch entry 1: expected '<tag> <alts> <deadline>': \"\"" );
+    ( "batch 0 0 1 ;1 1 1",
+      err "batch entry 0: expected '<tag> <alts> <deadline>': \"0 0 1 \"" );
+    ( "batch 0 0 1; 1 1 1",
+      err "batch entry 1: expected '<tag> <alts> <deadline>': \" 1 1 1\"" );
+    ( "batch  0 0 1",
+      err "batch entry 0: expected '<tag> <alts> <deadline>': \" 0 0 1\"" );
+    ("batch 0 0 1;x 1 2", err "batch entry 1: malformed tag \"x\"");
+    ("batch -1 0 1", err "batch entry 0: negative tag -1");
+    ("hello rsp/1 x", Ok (Protocol.Hello { client = "x" }));
+    ( "hello rsp/2 x",
+      err "unsupported protocol version \"rsp/2\" (want rsp/1)" );
+    ("hello", err "unsupported protocol version \"\" (want rsp/1)");
+    ("hello ", err "unsupported protocol version \"\" (want rsp/1)");
+    ("hello  rsp/1 a", err "unsupported protocol version \"\" (want rsp/1)");
+    ("hello rsp/1", err "expected 'hello rsp/1 <name>'");
+    ("hello rsp/1 ", err "expected 'hello rsp/1 <name>'");
+    ("hello rsp/1 a b", err "expected 'hello rsp/1 <name>'");
+    ("hello rsp/1 a ", err "expected 'hello rsp/1 <name>'");
+    ("hellox rsp/1 a", unknown "hellox rsp/1 a");
+    ("tick", Ok Protocol.Tick);
+    ("bye", Ok Protocol.Bye);
+    ("tick ", unknown "tick ");
+    ("tick x", unknown "tick x");
+    ("bye ", unknown "bye ");
+    ("TICK", unknown "TICK");
+    ("", unknown "");
+    (" ", unknown " ");
+    ("nope", unknown "nope");
+    ("welcome rsp/1 s", unknown "welcome rsp/1 s");
+  ]
+
+let server_edge_cases =
+  let rej reason = Some (Protocol.Rejected { tag = 5; reason }) in
+  let sched = Some (Protocol.Scheduled { tag = 1; round = 2; resource = 3 }) in
+  [
+    ("welcome rsp/1 srv", Some (Protocol.Welcome { server = "srv" }));
+    ("welcome rsp/0 x", None);
+    ("welcome", None);
+    ("welcome rsp/1", None);
+    ("welcome rsp/1 a b", None);
+    ("sched 1 2 3", sched);
+    ("sched 0x1 +2 0_3", sched);
+    ("sched 1 2", None);
+    ("sched 1 2 3 ", None);
+    ("sched 1  2 3", None);
+    ("sched -1 2 3", None);
+    ("sched 1 2 x", None);
+    ("sched", None);
+    ("rej 5 overload", rej Protocol.Overload);
+    ("rej 5 draining", rej Protocol.Draining);
+    ("rej 5 invalid", rej (Protocol.Invalid ""));
+    ("rej 5 invalid ", rej (Protocol.Invalid ""));
+    ( "rej 5 invalid resource 9 out of range (n=8)",
+      rej (Protocol.Invalid "resource 9 out of range (n=8)") );
+    ("rej 5 invalid  two  spaces ", rej (Protocol.Invalid " two  spaces "));
+    ("rej 5", None);
+    ("rej 5 ", None);
+    ("rej 5 overload ", None);
+    ("rej 5 invalidx", None);
+    ("rej 5 nonsense", None);
+    ("rej", None);
+    ("rej x overload", None);
+    ("rej x", None);
+    ("rej -5 overload", None);
+    ("exp 7", Some (Protocol.Expired { tag = 7 }));
+    ("exp 0x7", Some (Protocol.Expired { tag = 7 }));
+    ("exp 7 ", None);
+    ("exp 1 2", None);
+    ("exp", None);
+    ("exp -3", None);
+    ("round 3", Some (Protocol.Round { round = 3 }));
+    ("round", None);
+    ("round -1", None);
+    ("round x", None);
+    ("round 9999999999999999999", None);
+    ("error", Some (Protocol.Error { message = "" }));
+    ("error ", Some (Protocol.Error { message = "" }));
+    ( "error line too long",
+      Some (Protocol.Error { message = "line too long" }) );
+    ("error  x ", Some (Protocol.Error { message = " x " }));
+    ("errorx", None);
+    ("hello rsp/1 x", None);
+    ("tick", None);
+    ("", None);
+  ]
+
+let test_protocol_edge_cases () =
   List.iter
-    (fun line ->
-       match Protocol.parse_server line with
-       | Error _ -> ()
-       | Ok _ -> Alcotest.failf "server line %S accepted" line)
-    bad_server
+    (fun (line, expected) ->
+       match (Protocol.parse_client line, expected) with
+       | Ok m, Ok e when m = e -> ()
+       | Error m, Error e when m = e -> ()
+       | Ok m, _ ->
+         Alcotest.failf "client %S parsed as %S" line (Protocol.render_client m)
+       | Error m, _ -> Alcotest.failf "client %S rejected: %s" line m)
+    client_edge_cases;
+  List.iter
+    (fun (line, expected) ->
+       match (Protocol.parse_server line, expected) with
+       | Ok m, Some e when m = e -> ()
+       | Ok m, Some _ ->
+         Alcotest.failf "server %S parsed as %S" line (Protocol.render_server m)
+       | Ok _, None -> Alcotest.failf "server %S accepted" line
+       | Error e, Some _ -> Alcotest.failf "server %S rejected: %s" line e
+       | Error _, None -> ())
+    server_edge_cases
 
 let test_terminal_classification () =
   let open Protocol in
@@ -645,6 +796,36 @@ let test_e2e_oversize_batch_rejected () =
   in
   check Alcotest.int "nothing reached a shard" 0 (counter snap "serve.served")
 
+let test_e2e_line_too_long () =
+  (* a line over the limit is refused even when its newline arrives
+     in the same read as the rest of it *)
+  let (), snap =
+    with_server ~shards:2 ~n:8 ~d:4 (fun addr _ ->
+        match Client.connect addr ~client:"long" with
+        | Error m -> Alcotest.failf "connect: %s" m
+        | Ok conn ->
+          let reqs =
+            List.init 5999 (fun i ->
+                let tag = if i < 5 then 1_000_000 + i else 100_000 + i in
+                { Protocol.tag; alternatives = [ 0 ]; deadline = 1 })
+          in
+          let msg = Protocol.Batch reqs in
+          check Alcotest.int "a 66,000-byte line" 66_000
+            (String.length (Protocol.render_client msg ^ "\n"));
+          (match Client.send conn msg with
+           | Ok () -> ()
+           | Error m -> Alcotest.failf "send: %s" m);
+          (match Client.recv ~timeout:5.0 conn with
+           | Ok (Protocol.Error { message }) ->
+             check Alcotest.string "error text" "line too long" message
+           | Ok msg ->
+             Alcotest.failf "expected error line too long, got %S"
+               (Protocol.render_server msg)
+           | Error m -> Alcotest.failf "recv: %s" m);
+          Client.close conn)
+  in
+  check Alcotest.int "nothing admitted" 0 (counter snap "serve.admitted")
+
 let base_cfg addr =
   {
     Server.addr;
@@ -735,7 +916,7 @@ let () =
         [
           prop_client_roundtrip;
           prop_server_roundtrip;
-          Alcotest.test_case "rejects malformed" `Quick test_protocol_rejects;
+          Alcotest.test_case "parse edge cases" `Quick test_protocol_edge_cases;
           Alcotest.test_case "terminal classification" `Quick
             test_terminal_classification;
         ] );
@@ -773,6 +954,8 @@ let () =
             test_e2e_batched_replay_identical;
           Alcotest.test_case "outbox overflow drops no reply" `Quick
             test_e2e_outbox_overflow_no_reply_dropped;
+          Alcotest.test_case "line over the limit rejected" `Quick
+            test_e2e_line_too_long;
           Alcotest.test_case "oversize batch rejected whole" `Quick
             test_e2e_oversize_batch_rejected;
         ] );
