@@ -68,7 +68,6 @@ type t = {
   mutable queue : Request.t list;  (* reversed pending submissions *)
   mutable readmit : int list;      (* failover re-admissions, oldest first *)
   mutable next_id : int;
-  ids : (int, unit) Hashtbl.t;
   mutable requests_n : int;
   mutable straddled_n : int;
   mutable served_n : int;
@@ -120,7 +119,6 @@ let create ?metrics ?capacity ?priority ?(fail_after = 2) ?vnodes ~strategy
       queue = [];
       readmit = [];
       next_id = 0;
-      ids = Hashtbl.create 128;
       requests_n = 0;
       straddled_n = 0;
       served_n = 0;
@@ -160,27 +158,21 @@ let respond t reply = ignore (Transport.respond t.transport reply)
 (* submission *)
 
 let enqueue t (r : Request.t) =
-  Hashtbl.replace t.ids r.Request.id ();
   if r.Request.id >= t.next_id then t.next_id <- r.Request.id + 1;
   t.queue <- r :: t.queue
 
-let submit ?id t ~alternatives ~deadline =
+let submit t ~alternatives ~deadline =
   if deadline < 1 || deadline > t.d then
     Error (Printf.sprintf "deadline %d outside 1 .. %d" deadline t.d)
   else if List.exists (fun res -> res < 0 || res >= t.n) alternatives then
     Error "alternative resource out of range"
   else
-    match id with
-    | Some i when i < 0 -> Error (Printf.sprintf "negative id %d" i)
-    | Some i when Hashtbl.mem t.ids i ->
-      Error (Printf.sprintf "duplicate id %d" i)
-    | _ ->
-      let id = match id with Some i -> i | None -> t.next_id in
-      (match Request.make ~arrival:t.round ~alternatives ~deadline with
-       | exception Invalid_argument m -> Error m
-       | proto ->
-         enqueue t (Request.with_id proto id);
-         Ok id)
+    match Request.make ~arrival:t.round ~alternatives ~deadline with
+    | exception Invalid_argument m -> Error m
+    | proto ->
+      let id = t.next_id in
+      enqueue t (Request.with_id proto id);
+      Ok id
 
 (* ------------------------------------------------------------------ *)
 (* liveness: ping sweep, failover, rejoin *)

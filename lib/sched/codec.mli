@@ -58,6 +58,8 @@ module Line : sig
   (** Moves past the next field and returns its start [i]: the field
       is [line.[i .. pos - 1)] ("truncated line" when none is left). *)
 
+  val int_at : what:string -> string -> int -> int -> int
+  val int : cursor -> what:string -> int
   val nat_at : what:string -> string -> int -> int -> int
   val nat : cursor -> what:string -> int
   val word : cursor -> string
@@ -66,10 +68,11 @@ module Line : sig
   val rest : cursor -> string
   val fields : cursor -> int
   val finish : cursor -> unit
-  (** [nat_at ~what s i j] is [s.[i..j)] as a non-negative integer
-      (["malformed <what> \"<field>\""], ["negative <what> <v>"]); up
-      to eighteen plain digits are decoded without allocating.  [nat],
-      [word] and [alts] read the next field ([alts] adds ["empty
+  (** [int_at ~what s i j] is [s.[i..j)] as an integer
+      (["malformed <what> \"<field>\""]), and [nat_at] also rejects a
+      negative one (["negative <what> <v>"]); up to eighteen plain
+      digits are decoded without allocating.  [int], [nat], [word] and
+      [alts] read the next field ([alts] adds ["empty
       alternative list"] and ["duplicate resource <v>"]), and
       [versioned] checks that it is {!version}.  [rest] is everything up
       to [lim] ([""] when nothing is left), [fields] how many fields

@@ -4,172 +4,16 @@ let fail fmt = Printf.ksprintf (fun s -> raise (Protocol_error s)) fmt
 
 type adaptive = round:int -> is_served:(int -> bool) -> Request.t list
 
-(* Shared per-run bookkeeping: validates every service against the model
-   rules and records first services.  [lookup] resolves ids to requests
-   (the id space may still be growing during an adaptive run). *)
-type ledger = {
-  n : int;
-  lookup : int -> Request.t option;
-  served_tbl : (int, int * int) Hashtbl.t; (* id -> (resource, round) *)
-  mutable wasted : int;
-  resource_busy : int array; (* resource -> last round it served *)
-}
-
-let make_ledger ~n ~lookup =
-  { n; lookup; served_tbl = Hashtbl.create 256; wasted = 0;
-    resource_busy = Array.make n (-1) }
-
-let apply_services ledger ~round services =
-  List.iter
-    (fun { Strategy.request; resource } ->
-       let r =
-         match ledger.lookup request with
-         | Some r -> r
-         | None -> fail "round %d: unknown request %d" round request
-       in
-       if not (Request.is_live r ~round) then
-         fail "round %d: request %d outside its window [%d,%d]" round
-           request r.Request.arrival (Request.last_round r);
-       if resource < 0 || resource >= ledger.n then
-         fail "round %d: resource %d out of range" round resource;
-       if not (Request.has_alternative r resource) then
-         fail "round %d: resource %d not an alternative of request %d"
-           round resource request;
-       if ledger.resource_busy.(resource) = round then
-         fail "round %d: resource %d used twice" round resource;
-       ledger.resource_busy.(resource) <- round;
-       if Hashtbl.mem ledger.served_tbl request then
-         ledger.wasted <- ledger.wasted + 1
-       else Hashtbl.replace ledger.served_tbl request (resource, round))
-    services
-
-let finish ledger ~inst ~strategy_name =
-  let n_req = Instance.n_requests inst in
-  let served_at = Array.make n_req None in
-  let per_round_served = Array.make (max inst.Instance.horizon 1) 0 in
-  let served = ref 0 in
-  Hashtbl.iter
-    (fun id (resource, round) ->
-       served_at.(id) <- Some (resource, round);
-       per_round_served.(round) <- per_round_served.(round) + 1;
-       incr served)
-    ledger.served_tbl;
-  {
-    Outcome.instance = inst;
-    strategy_name;
-    served_at;
-    served = !served;
-    wasted = ledger.wasted;
-    per_round_served;
-  }
-
-(* Per-round metric recording around one strategy step.  [step] is a
-   thunk so the un-instrumented path pays a single match per round.
-   Returns the services the strategy emitted (validated and applied):
-   the live engine needs them to report per-request outcomes. *)
-let step_with_metrics metrics ledger ~round ~arrivals step =
-  match metrics with
-  | None ->
-    let services = step () in
-    apply_services ledger ~round services;
-    services
-  | Some m ->
-    let served0 = Hashtbl.length ledger.served_tbl
-    and wasted0 = ledger.wasted in
-    let t0 = Obs.Span.start () in
-    let services = step () in
-    Obs.Metrics.observe m "engine.step_us" (Obs.Span.elapsed t0 *. 1e6);
-    apply_services ledger ~round services;
-    let served = Hashtbl.length ledger.served_tbl - served0 in
-    Obs.Metrics.incr m "engine.rounds";
-    Obs.Metrics.incr ~by:(Array.length arrivals) m "engine.arrivals";
-    Obs.Metrics.incr ~by:served m "engine.served";
-    Obs.Metrics.incr ~by:(ledger.wasted - wasted0) m "engine.wasted";
-    Obs.Metrics.observe m "engine.served_per_round" (float_of_int served);
-    services
-
-let run ?metrics inst factory =
-  let metrics = Obs.Metrics.resolve metrics in
-  let strategy = factory ~n:inst.Instance.n_resources ~d:inst.Instance.d in
-  let ledger =
-    make_ledger ~n:inst.Instance.n_resources ~lookup:(fun id ->
-        if id >= 0 && id < Instance.n_requests inst then
-          Some inst.Instance.requests.(id)
-        else None)
-  in
-  for round = 0 to inst.Instance.horizon - 1 do
-    let arrivals = Instance.arrivals_at inst round in
-    ignore
-      (step_with_metrics metrics ledger ~round ~arrivals (fun () ->
-           strategy.Strategy.step ~round ~arrivals))
-  done;
-  finish ledger ~inst ~strategy_name:strategy.Strategy.name
-
-let run_all inst factories = List.map (run inst) factories
-
-let run_adaptive ?metrics ~n ~d ~last_arrival_round ~adversary factory =
-  if last_arrival_round < 0 then
-    invalid_arg "Engine.run_adaptive: negative last_arrival_round";
-  let metrics = Obs.Metrics.resolve metrics in
-  let strategy = factory ~n ~d in
-  let by_id : (int, Request.t) Hashtbl.t = Hashtbl.create 256 in
-  let emitted = ref [] (* reversed *) in
-  let next_id = ref 0 in
-  let ledger =
-    make_ledger ~n ~lookup:(fun id -> Hashtbl.find_opt by_id id)
-  in
-  let horizon = last_arrival_round + d in
-  for round = 0 to horizon - 1 do
-    let arrivals =
-      if round > last_arrival_round then [||]
-      else begin
-        let protos =
-          adversary ~round
-            ~is_served:(fun id -> Hashtbl.mem ledger.served_tbl id)
-        in
-        let assigned =
-          List.map
-            (fun (r : Request.t) ->
-               if r.Request.arrival <> round then
-                 invalid_arg
-                   (Printf.sprintf
-                      "Engine.run_adaptive: adversary emitted arrival %d \
-                       at round %d"
-                      r.Request.arrival round);
-               let r = Request.with_id r !next_id in
-               incr next_id;
-               Hashtbl.replace by_id r.Request.id r;
-               emitted := r :: !emitted;
-               r)
-            protos
-        in
-        Array.of_list assigned
-      end
-    in
-    ignore
-      (step_with_metrics metrics ledger ~round ~arrivals (fun () ->
-           strategy.Strategy.step ~round ~arrivals))
-  done;
-  let protos =
-    List.rev_map
-      (fun (r : Request.t) ->
-         Request.make ~arrival:r.Request.arrival
-           ~alternatives:(Array.to_list r.Request.alternatives)
-           ~deadline:r.Request.deadline)
-      !emitted
-  in
-  let inst = Instance.build ~n_resources:n ~d protos in
-  finish ledger ~inst ~strategy_name:strategy.Strategy.name
-
 (* ------------------------------------------------------------------ *)
-(* Live: the incremental engine behind lib/serve.
+(* Live: the one round engine.
 
-   Same validation ledger as the batch runs, but the workload is not
-   known in advance: requests are submitted between rounds and the
-   caller decides when each round happens (a shard's tick).  Every
+   Requests are admitted between rounds and the caller decides when each
+   round happens (a shard's tick, or a finite driver below).  Every
    admitted request reaches exactly one terminal state — served (the
    step that first serves it reports the id) or expired (reported by
-   the step that closes its window). *)
+   the step that closes its window).  A request can take part in no
+   round after its window closes, so that step also forgets it: the
+   engine's state is bounded by the open windows, not by uptime. *)
 
 module Live = struct
   type outcome = {
@@ -179,33 +23,43 @@ module Live = struct
     expired : int list;         (** ids whose window closed unserved *)
   }
 
+  (* Window state lives in a ring indexed by [id land (capacity - 1)]
+     over the ids [oldest, next_id): every id below [oldest] is closed,
+     and the span holds at most [d] rounds of arrivals, because the
+     oldest open request closes within [d] rounds of its arrival. *)
   type t = {
     n : int;
     d : int;
     strategy : Strategy.t;
     metrics : Obs.Metrics.t option;
-    ledger : ledger;
-    by_id : (int, Request.t) Hashtbl.t;
-    expiry : (int, int list ref) Hashtbl.t; (* last_round -> ids, reversed *)
-    mutable queued : Request.t list;        (* reversed arrivals *)
+    mutable window : Request.t array;
+    mutable status : Bytes.t;        (* 'o'pen, 's'erved or 'c'losed *)
+    mutable oldest : int;
+    expiry : int list array;         (* last_round mod d -> ids, descending *)
+    resource_busy : int array;       (* resource -> last round served *)
+    mutable wasted : int;
+    mutable queued : Request.t list; (* reversed arrivals *)
     mutable next_id : int;
     mutable round : int;
-    mutable live : int;                     (* admitted, no terminal yet *)
+    mutable live : int;              (* admitted, no terminal yet *)
   }
+
+  let vacant = Request.make ~arrival:0 ~alternatives:[ 0 ] ~deadline:1
 
   let create ?metrics ~n ~d factory =
     if n < 1 then invalid_arg "Engine.Live.create: n must be >= 1";
     if d < 1 then invalid_arg "Engine.Live.create: d must be >= 1";
-    let metrics = Obs.Metrics.resolve metrics in
-    let by_id = Hashtbl.create 256 in
     {
       n;
       d;
       strategy = factory ~n ~d;
-      metrics;
-      ledger = make_ledger ~n ~lookup:(fun id -> Hashtbl.find_opt by_id id);
-      by_id;
-      expiry = Hashtbl.create 64;
+      metrics = Obs.Metrics.resolve metrics;
+      window = Array.make 64 vacant;
+      status = Bytes.make 64 'c';
+      oldest = 0;
+      expiry = Array.make d [];
+      resource_busy = Array.make n (-1);
+      wasted = 0;
       queued = [];
       next_id = 0;
       round = 0;
@@ -217,7 +71,31 @@ module Live = struct
   let submitted t = t.next_id
   let strategy_name t = t.strategy.Strategy.name
 
-  let is_served t id = Hashtbl.mem t.ledger.served_tbl id
+  (* Admit a request already numbered [t.next_id], arriving at the
+     current round with a deadline of at most [d]; [submit] validates,
+     the finite drivers feed requests {!Instance.build} validated. *)
+  let admit t (r : Request.t) =
+    let id = t.next_id and cap = Array.length t.window in
+    assert (r.Request.id = id && r.Request.arrival = t.round);
+    if id - t.oldest = cap then begin
+      let window = Array.make (2 * cap) vacant
+      and status = Bytes.make (2 * cap) 'c' in
+      for i = t.oldest to id - 1 do
+        window.(i land ((2 * cap) - 1)) <- t.window.(i land (cap - 1));
+        Bytes.set status (i land ((2 * cap) - 1))
+          (Bytes.get t.status (i land (cap - 1)))
+      done;
+      t.window <- window;
+      t.status <- status
+    end;
+    let slot = id land (Array.length t.window - 1) in
+    t.window.(slot) <- r;
+    Bytes.set t.status slot 'o';
+    t.next_id <- id + 1;
+    t.queued <- r :: t.queued;
+    t.live <- t.live + 1;
+    let k = Request.last_round r mod t.d in
+    t.expiry.(k) <- id :: t.expiry.(k)
 
   let submit t ~alternatives ~deadline =
     if deadline > t.d then
@@ -232,47 +110,165 @@ module Live = struct
       match Request.make ~arrival:t.round ~alternatives ~deadline with
       | exception Invalid_argument m -> Error m
       | proto ->
-        let r = Request.with_id proto t.next_id in
-        t.next_id <- t.next_id + 1;
-        Hashtbl.replace t.by_id r.Request.id r;
-        t.queued <- r :: t.queued;
-        t.live <- t.live + 1;
-        let last = Request.last_round r in
-        (match Hashtbl.find_opt t.expiry last with
-         | Some ids -> ids := r.Request.id :: !ids
-         | None -> Hashtbl.replace t.expiry last (ref [ r.Request.id ]));
-        Ok r.Request.id
+        admit t (Request.with_id proto t.next_id);
+        Ok (t.next_id - 1)
+
+  (* Validate [services] against the model rules and apply them; returns
+     the first services, in service order.  Every open request is live
+     at the current round, so an id that is not open either closed its
+     window or was never admitted. *)
+  let apply t ~round services =
+    let mask = Array.length t.window - 1 in
+    List.fold_left
+      (fun first { Strategy.request; resource } ->
+         let slot = request land mask in
+         if request < t.oldest || request >= t.next_id
+            || Bytes.get t.status slot = 'c'
+         then
+           if request >= 0 && request < t.next_id then
+             fail "round %d: request %d outside its window" round request
+           else fail "round %d: unknown request %d" round request;
+         if resource < 0 || resource >= t.n then
+           fail "round %d: resource %d out of range" round resource;
+         if not (Request.has_alternative t.window.(slot) resource) then
+           fail "round %d: resource %d not an alternative of request %d"
+             round resource request;
+         if t.resource_busy.(resource) = round then
+           fail "round %d: resource %d used twice" round resource;
+         t.resource_busy.(resource) <- round;
+         if Bytes.get t.status slot = 's' then begin
+           t.wasted <- t.wasted + 1;
+           first
+         end
+         else begin
+           Bytes.set t.status slot 's';
+           (request, resource) :: first
+         end)
+      [] services
+    |> List.rev
+
+  (* Close the windows ending at [round] and forget their requests;
+     returns the unserved ids, ascending. *)
+  let close t ~round =
+    let k = round mod t.d and mask = Array.length t.window - 1 in
+    let expired =
+      List.fold_left
+        (fun expired id ->
+           let slot = id land mask in
+           let served = Bytes.get t.status slot = 's' in
+           Bytes.set t.status slot 'c';
+           t.window.(slot) <- vacant;
+           if served then expired else id :: expired)
+        [] t.expiry.(k)
+    in
+    t.expiry.(k) <- [];
+    while t.oldest < t.next_id && Bytes.get t.status (t.oldest land mask) = 'c'
+    do
+      t.oldest <- t.oldest + 1
+    done;
+    expired
 
   let step t =
     let round = t.round in
     let arrivals = Array.of_list (List.rev t.queued) in
     t.queued <- [];
-    let services =
-      step_with_metrics t.metrics t.ledger ~round ~arrivals (fun () ->
-          t.strategy.Strategy.step ~round ~arrivals)
-    in
-    (* keep only first services: a re-service of an already-served
-       request is legal-but-wasted, and the ledger maps each id to its
-       first (resource, round) only *)
+    let decide () = t.strategy.Strategy.step ~round ~arrivals in
     let served =
-      List.filter
-        (fun { Strategy.request; resource } ->
-           match Hashtbl.find_opt t.ledger.served_tbl request with
-           | Some (res, r) -> r = round && res = resource
-           | None -> false)
-        services
-      |> List.map (fun { Strategy.request; resource } -> (request, resource))
+      match t.metrics with
+      | None -> apply t ~round (decide ())
+      | Some m ->
+        let wasted0 = t.wasted in
+        let t0 = Obs.Span.start () in
+        let services = decide () in
+        Obs.Metrics.observe m "engine.step_us" (Obs.Span.elapsed t0 *. 1e6);
+        let served = apply t ~round services in
+        let k = List.length served in
+        Obs.Metrics.incr m "engine.rounds";
+        Obs.Metrics.incr ~by:(Array.length arrivals) m "engine.arrivals";
+        Obs.Metrics.incr ~by:k m "engine.served";
+        Obs.Metrics.incr ~by:(t.wasted - wasted0) m "engine.wasted";
+        Obs.Metrics.observe m "engine.served_per_round" (float_of_int k);
+        served
     in
-    let expired =
-      match Hashtbl.find_opt t.expiry round with
-      | None -> []
-      | Some ids ->
-        List.filter
-          (fun id -> not (Hashtbl.mem t.ledger.served_tbl id))
-          (List.sort Int.compare !ids)
-    in
-    Hashtbl.remove t.expiry round;
+    let expired = close t ~round in
     t.live <- t.live - List.length served - List.length expired;
     t.round <- round + 1;
     { round; served; expired }
 end
+
+(* ------------------------------------------------------------------ *)
+(* The finite drivers: step a fresh [Live] over rounds [0, horizon),
+   admitting [arrivals ~round ~is_served] before each step, and record
+   each step's first services. *)
+
+let drive ?metrics ~n ~d ~horizon ~arrivals factory =
+  let live = Live.create ?metrics ~n ~d factory in
+  let served_at = ref [||] in
+  let per_round_served = Array.make (max horizon 1) 0 in
+  let is_served id =
+    id >= 0 && id < Array.length !served_at && !served_at.(id) <> None
+  in
+  for round = 0 to horizon - 1 do
+    Array.iter (Live.admit live) (arrivals ~round ~is_served);
+    let o = Live.step live in
+    let len = Array.length !served_at in
+    if len < live.Live.next_id then begin
+      let grown = Array.make (max (2 * len) live.Live.next_id) None in
+      Array.blit !served_at 0 grown 0 len;
+      served_at := grown
+    end;
+    List.iter
+      (fun (id, resource) -> !served_at.(id) <- Some (resource, round))
+      o.Live.served;
+    per_round_served.(round) <- List.length o.Live.served
+  done;
+  (live, Array.sub !served_at 0 live.Live.next_id, per_round_served)
+
+let outcome inst (live : Live.t) served_at per_round_served =
+  {
+    Outcome.instance = inst;
+    strategy_name = Live.strategy_name live;
+    served_at;
+    served = Array.fold_left ( + ) 0 per_round_served;
+    wasted = live.Live.wasted;
+    per_round_served;
+  }
+
+let run ?metrics inst factory =
+  let live, served_at, per_round_served =
+    drive ?metrics ~n:inst.Instance.n_resources ~d:inst.Instance.d
+      ~horizon:inst.Instance.horizon
+      ~arrivals:(fun ~round ~is_served:_ -> Instance.arrivals_at inst round)
+      factory
+  in
+  outcome inst live served_at per_round_served
+
+let run_all inst factories = List.map (run inst) factories
+
+let run_adaptive ?metrics ~n ~d ~last_arrival_round ~adversary factory =
+  if last_arrival_round < 0 then
+    invalid_arg "Engine.run_adaptive: negative last_arrival_round";
+  let emitted = ref [] (* reversed protos *) and next_id = ref 0 in
+  let arrivals ~round ~is_served =
+    if round > last_arrival_round then [||]
+    else
+      Array.of_list
+        (List.map
+           (fun (r : Request.t) ->
+              if r.Request.arrival <> round || r.Request.deadline > d then
+                invalid_arg
+                  (Printf.sprintf
+                     "Engine.run_adaptive: adversary emitted arrival %d, \
+                      deadline %d at round %d (d=%d)"
+                     r.Request.arrival r.Request.deadline round d);
+              emitted := r :: !emitted;
+              incr next_id;
+              Request.with_id r (!next_id - 1))
+           (adversary ~round ~is_served))
+  in
+  let live, served_at, per_round_served =
+    drive ?metrics ~n ~d ~horizon:(last_arrival_round + d) ~arrivals factory
+  in
+  let inst = Instance.build ~n_resources:n ~d (List.rev !emitted) in
+  outcome inst live served_at
+    (Array.sub per_round_served 0 (max inst.Instance.horizon 1))

@@ -21,73 +21,90 @@ let of_prefix ~strategy ~n ~d ~opt ~alg prefix =
   let instance, tags = Game.realise ~n ~d prefix in
   v ~strategy:strategy.Game.name ~opt ~alg ~tags instance
 
+module Line = Sched.Codec.Line
+
 let header = "search-cert"
 
 let render t =
   let buf = Buffer.create 256 in
-  Buffer.add_string buf
-    (Printf.sprintf "%s %s strategy=%s opt=%d alg=%d ratio=%s\n" header
-       Sched.Codec.version t.strategy t.opt t.alg
-       (Rat.to_string (ratio t)));
+  Buffer.add_string buf header;
+  Buffer.add_char buf ' ';
+  Buffer.add_string buf Sched.Codec.version;
+  Buffer.add_string buf " strategy=";
+  Buffer.add_string buf t.strategy;
+  Buffer.add_string buf " opt=";
+  Line.add_int buf t.opt;
+  Buffer.add_string buf " alg=";
+  Line.add_int buf t.alg;
+  Buffer.add_string buf " ratio=";
+  Buffer.add_string buf (Rat.to_string (ratio t));
+  Buffer.add_char buf '\n';
   Array.iteri
     (fun id tag ->
        match tag with
        | Move.Neutral -> ()
        | _ ->
-         Buffer.add_string buf
-           (Printf.sprintf "tag %d %s\n" id (Move.tag_to_string tag)))
+         Buffer.add_string buf "tag ";
+         Line.add_int buf id;
+         Buffer.add_char buf ' ';
+         Buffer.add_string buf (Move.tag_to_string tag);
+         Buffer.add_char buf '\n')
     t.tags;
   Buffer.add_string buf (Sched.Codec.to_string t.instance);
   Buffer.contents buf
 
 let ( let* ) = Result.bind
 
-let parse_kv ~what s =
-  match String.index_opt s '=' with
-  | Some i ->
-    Ok (String.sub s 0 i, String.sub s (i + 1) (String.length s - i - 1))
-  | None -> Error (Printf.sprintf "%s: expected key=value, got %S" what s)
-
-let parse_int ~what s =
-  match int_of_string_opt s with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "%s: expected integer, got %S" what s)
-
+(* "search-cert rsp/1 <key>=<value> ...": strategy, opt and alg are
+   required and ratio is optional, in any order; a repeated key's last
+   value wins. *)
 let parse_header line =
-  match String.split_on_char ' ' line with
-  | h :: ver :: fields when String.equal h header ->
-    if not (String.equal ver Sched.Codec.version) then
+  let c = Line.cursor line in
+  let rec fields strategy opt alg ratio =
+    if Line.fields c = 0 then
+      match strategy, opt, alg with
+      | Some s, Some o, Some a -> (s, o, a, ratio)
+      | _ -> Line.fail "missing strategy/opt/alg"
+    else
+      let i = Line.next c in
+      let j = c.Line.pos - 1 in
+      match String.index_from_opt line i '=' with
+      | Some k when k < j ->
+        let text () = String.sub line (k + 1) (j - k - 1) in
+        let int what = Some (Line.int_at ~what line (k + 1) j) in
+        (match String.sub line i (k - i) with
+         | "strategy" -> fields (Some (text ())) opt alg ratio
+         | "opt" -> fields strategy (int "opt") alg ratio
+         | "alg" -> fields strategy opt (int "alg") ratio
+         | "ratio" -> fields strategy opt alg (Some (text ()))
+         | key -> Line.fail (Printf.sprintf "unknown field %S" key))
+      | _ ->
+        Line.fail
+          (Printf.sprintf "expected key=value, got %S"
+             (String.sub line i (j - i)))
+  in
+  if Line.word c <> header || Line.fields c = 0 then
+    Error (Printf.sprintf "not a %s line: %S" header line)
+  else
+    let ver = Line.word c in
+    if ver <> Sched.Codec.version then
       Error (Printf.sprintf "unsupported certificate version %S" ver)
     else
-      let rec go strategy opt alg ratio = function
-        | [] ->
-          (match strategy, opt, alg with
-           | Some s, Some o, Some a -> Ok (s, o, a, ratio)
-           | _ -> Error "certificate header: missing strategy/opt/alg")
-        | f :: rest ->
-          let* k, v = parse_kv ~what:"certificate header" f in
-          (match k with
-           | "strategy" -> go (Some v) opt alg ratio rest
-           | "opt" ->
-             let* o = parse_int ~what:"opt" v in
-             go strategy (Some o) alg ratio rest
-           | "alg" ->
-             let* a = parse_int ~what:"alg" v in
-             go strategy opt (Some a) ratio rest
-           | "ratio" -> go strategy opt alg (Some v) rest
-           | _ ->
-             Error (Printf.sprintf "certificate header: unknown field %S" k))
-      in
-      go None None None None fields
-  | _ -> Error (Printf.sprintf "not a %s line: %S" header line)
+      match fields None None None None with
+      | h -> Ok h
+      | exception Line.Malformed m -> Error ("certificate header: " ^ m)
 
+(* "tag <id> <tag>" *)
 let parse_tag_line line =
-  match String.split_on_char ' ' line with
-  | [ "tag"; id; tag ] ->
-    let* id = parse_int ~what:"tag id" id in
-    let* tag = Move.tag_of_string tag in
-    Ok (id, tag)
-  | _ -> Error (Printf.sprintf "bad tag line %S" line)
+  let c = Line.cursor line in
+  c.Line.pos <- 4;
+  if Line.fields c <> 2 then Error (Printf.sprintf "bad tag line %S" line)
+  else
+    match Line.int c ~what:"tag id" with
+    | exception Line.Malformed m -> Error m
+    | id ->
+      let* tag = Move.tag_of_string (Line.rest c) in
+      Ok (id, tag)
 
 let parse s =
   let lines =
@@ -100,8 +117,7 @@ let parse s =
   | hd :: rest ->
     let* strategy, opt, alg, ratio_field = parse_header hd in
     let rec tags acc = function
-      | line :: rest when String.length line >= 4
-                       && String.sub line 0 4 = "tag " ->
+      | line :: rest when String.starts_with ~prefix:"tag " line ->
         let* t = parse_tag_line line in
         tags (t :: acc) rest
       | rest -> Ok (List.rev acc, rest)

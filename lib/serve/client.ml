@@ -11,8 +11,8 @@ let ( let* ) = Result.bind
 
 type t = {
   fd : Unix.file_descr;
-  inq : Buffer.t;
-  mutable lines : string list; (* parsed-out, not yet consumed *)
+  inq : Lineio.t;
+  lines : string Queue.t; (* parsed-out, not yet consumed *)
   mutable closed : bool;
 }
 
@@ -36,13 +36,12 @@ let recv_opt ?(timeout = 10.0) t =
   let deadline = Unix.gettimeofday () +. timeout in
   let scratch = Bytes.create 4096 in
   let rec next () =
-    match t.lines with
-    | line :: rest ->
-      t.lines <- rest;
+    match Queue.take_opt t.lines with
+    | Some line ->
       (match Protocol.parse_server line with
        | Ok msg -> Ok (Some msg)
        | Error m -> Error (Printf.sprintf "bad server message: %s" m))
-    | [] ->
+    | None ->
       let remaining = deadline -. Unix.gettimeofday () in
       if remaining <= 0.0 then Ok None
       else begin
@@ -52,8 +51,7 @@ let recv_opt ?(timeout = 10.0) t =
           (match Unix.read t.fd scratch 0 (Bytes.length scratch) with
            | 0 -> Error closed_by_server
            | n ->
-             Buffer.add_subbytes t.inq scratch 0 n;
-             t.lines <- t.lines @ Lineio.extract_lines t.inq;
+             Lineio.feed t.inq scratch 0 n (fun l -> Queue.add l t.lines);
              next ()
            | exception Unix.Unix_error (Unix.EINTR, _, _) -> next ()
            | exception Unix.Unix_error (e, _, _) ->
@@ -97,7 +95,9 @@ let connect addr ~client =
          (Server.addr_to_string addr) m)
   | Ok fd ->
     Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-    let t = { fd; inq = Buffer.create 256; lines = []; closed = false } in
+    let t =
+      { fd; inq = Lineio.create (); lines = Queue.create (); closed = false }
+    in
     (match send t (Protocol.Hello { client }) with
      | Error m ->
        close t;

@@ -141,7 +141,7 @@ let open_listener addr =
 type conn = {
   cid : int;
   fd : Unix.file_descr;
-  inq : Buffer.t;
+  inq : Lineio.t;
   outq : Buffer.t;
   mutable greeted : bool;
   mutable inflight : int; (* admitted, terminal response still pending *)
@@ -314,11 +314,17 @@ let io_loop t =
       | 0 -> close_conn conn (* EOF; error iff requests stranded *)
       | n ->
         conn.last_read <- Unix.gettimeofday ();
-        Buffer.add_subbytes conn.inq scratch 0 n;
-        List.iter (handle_line conn) (Lineio.extract_lines conn.inq);
-        (* what is left is one partial line *)
-        if Buffer.length conn.inq > Sched.Codec.Line.max_line then
-          protocol_error conn "line too long"
+        (* a closing connection's later lines, in this read or a later
+           one, are dropped unparsed: nothing after a protocol error or
+           a [bye] is admitted *)
+        if not conn.closing then begin
+          Lineio.feed conn.inq scratch 0 n (fun line ->
+              if not conn.closing then handle_line conn line);
+          (* what is left is one partial line *)
+          if (not conn.closing)
+             && Lineio.buffered conn.inq > Sched.Codec.Line.max_line
+          then protocol_error conn "line too long"
+        end
       | exception
           Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
         -> ()
@@ -448,7 +454,7 @@ let io_loop t =
             {
               cid = !next_cid;
               fd;
-              inq = Buffer.create 256;
+              inq = Lineio.create ();
               outq = Buffer.create 256;
               greeted = false;
               inflight = 0;

@@ -6,11 +6,12 @@ type state = {
   bias : Strategy.bias;
   coordinate : bool;
   queues : (int, Request.t) Hashtbl.t array; (* per resource: id -> request *)
-  served : (int, unit) Hashtbl.t;
+  served : (int, unit) Hashtbl.t; (* served ids whose window is open *)
   (* expiry buckets: last_round -> (resource, id) queue entries, so a
-     round drops exactly the entries whose window just closed instead
-     of scanning every queue (the kernel's O(expiring) scheme).
-     Entries already removed by a serve make the removal a no-op. *)
+     round drops exactly the entries (and served marks) whose window
+     just closed instead of scanning every queue (the kernel's
+     O(expiring) scheme).  Entries already removed by a serve make the
+     removal a no-op. *)
   expiry : (int, (int * int) list ref) Hashtbl.t;
   mutable drained : int; (* buckets below this round are gone *)
 }
@@ -44,7 +45,11 @@ let step st ~round ~arrivals =
     match Hashtbl.find_opt st.expiry closed with
     | None -> ()
     | Some entries ->
-      List.iter (fun (res, id) -> Hashtbl.remove st.queues.(res) id) !entries;
+      List.iter
+        (fun (res, id) ->
+           Hashtbl.remove st.queues.(res) id;
+           Hashtbl.remove st.served id)
+        !entries;
       Hashtbl.remove st.expiry closed
   done;
   if round > st.drained then st.drained <- round;

@@ -748,13 +748,11 @@ let test_session_submit_validation () =
       ([], 2, "no alternatives");
       ([ 1; 1 ], 2, "duplicate alternatives");
     ];
-  (match Session.submit ~id:0 s ~alternatives:[ 0 ] ~deadline:1 with
-   | Error _ -> ()
-   | Ok _ -> Alcotest.fail "duplicate id accepted");
-  match Session.submit ~id:7 s ~alternatives:[ 0 ] ~deadline:1 with
-  | Ok 7 -> ()
-  | Ok id -> Alcotest.failf "expected id 7, got %d" id
-  | Error m -> Alcotest.failf "explicit id rejected: %s" m
+  (* rejected submissions consume no id *)
+  match Session.submit s ~alternatives:[ 0 ] ~deadline:1 with
+  | Ok 1 -> ()
+  | Ok id -> Alcotest.failf "expected dense id 1, got %d" id
+  | Error m -> Alcotest.failf "valid submit rejected: %s" m
 
 (* ------------------------------------------------------------------ *)
 (* serve-mode integration: the cluster as a server strategy *)

@@ -609,15 +609,21 @@ let test_live_validation () =
     let o = Engine.Live.step live in
     check Alcotest.bool "served on first step" true
       (List.mem_assoc 0 o.Engine.Live.served);
-    check Alcotest.bool "is_served" true (Engine.Live.is_served live 0)
+    check Alcotest.(list int) "nothing expired" [] o.Engine.Live.expired;
+    (* the closing step reports no terminal for a served request *)
+    let o = Engine.Live.step live in
+    check Alcotest.bool "served once" false
+      (List.mem_assoc 0 o.Engine.Live.served);
+    check Alcotest.(list int) "served request never expires" []
+      o.Engine.Live.expired
 
 (* Sustained 3x overload: the expired outcomes must account for exactly
    the requests the engine could not serve — served + expired conserves
    submitted once every window has closed, expired lists are ascending
    and never name a served request.  Violation-rate scoring
    (Analysis.Slo) is built on this accounting. *)
-let test_live_overload_accounting () =
-  let n = 4 and d = 3 and rounds = 60 in
+let live_overload_accounting ~d =
+  let n = 4 and rounds = 60 in
   let live = Engine.Live.create ~n ~d (Strategies.Global.balance ()) in
   let served = Hashtbl.create 256 in
   let expired = Hashtbl.create 256 in
@@ -634,7 +640,7 @@ let test_live_overload_accounting () =
     List.iter
       (fun id ->
          check Alcotest.bool "expired request was never served" false
-           (Hashtbl.mem served id || Engine.Live.is_served live id);
+           (Hashtbl.mem served id);
          check Alcotest.bool "expired at most once" false
            (Hashtbl.mem expired id);
          Hashtbl.add expired id ())
@@ -668,6 +674,50 @@ let test_live_overload_accounting () =
   check Alcotest.bool "full utilisation under overload" true
     (let s = Hashtbl.length served in
      s >= n * rounds && s <= n * (rounds + d))
+
+(* d = 6 keeps up to 72 windows open at once, more than the engine's
+   initial ring holds, so its growth is exercised too *)
+let test_live_overload_accounting () =
+  live_overload_accounting ~d:3;
+  live_overload_accounting ~d:6
+
+(* Bounded memory: the live engine forgets a request at the step that
+   closes its window, so once warm its live heap stays flat however long
+   it runs.  Live words after a compaction at round 4,000 and at round
+   16,000 must agree within [soak_slack_words]; any per-request record
+   kept past its window (tens of bytes per request, 120,000 requests in
+   between) overshoots that by an order of magnitude.  Each factory
+   exercises its own per-request state on top of the engine's. *)
+let soak_slack_words = 32_768
+
+let live_words () =
+  Gc.compact ();
+  (Gc.stat ()).Gc.live_words
+
+let test_live_bounded_memory factory () =
+  let n = 8 and d = 4 in
+  let rng = Rng.create ~seed:17 in
+  let live = Engine.Live.create ~n ~d factory in
+  let warm = ref 0 in
+  for round = 1 to 16_000 do
+    (* 10 requests on 8 resources: overload, so some requests expire *)
+    for _ = 1 to 10 do
+      let a = Rng.int rng n in
+      let b = (a + 1 + Rng.int rng (n - 1)) mod n in
+      match
+        Engine.Live.submit live ~alternatives:[ a; b ]
+          ~deadline:(1 + Rng.int rng d)
+      with
+      | Ok _ -> ()
+      | Error m -> Alcotest.failf "soak submit rejected: %s" m
+    done;
+    ignore (Engine.Live.step live);
+    if round = 4_000 then warm := live_words ()
+  done;
+  let grown = live_words () - !warm in
+  if grown > soak_slack_words then
+    Alcotest.failf "%s: live heap grew by %d words from round 4000 to 16000"
+      (Engine.Live.strategy_name live) grown
 
 let () =
   Alcotest.run "sched"
@@ -738,5 +788,18 @@ let () =
           Alcotest.test_case "overload accounting" `Quick
             test_live_overload_accounting;
           prop_live_matches_batch;
+        ] );
+      ( "soak",
+        [
+          Alcotest.test_case "bounded memory: two-choice" `Quick
+            (test_live_bounded_memory (Strategies.Twochoice.least_loaded ()));
+          Alcotest.test_case "bounded memory: EDF_coord" `Quick
+            (test_live_bounded_memory (Strategies.Edf.coordinated ()));
+          Alcotest.test_case "bounded memory: A_fix" `Quick
+            (test_live_bounded_memory (Strategies.Global.fix ()));
+          Alcotest.test_case "bounded memory: cluster session" `Quick
+            (test_live_bounded_memory
+               (Cluster.Session.factory ~strategy:Cluster.Session.Local_fix
+                  ~nodes:2 ()));
         ] );
     ]

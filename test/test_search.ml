@@ -182,6 +182,71 @@ let prop_canonical_relabel =
          (Game.canonical_key ~n:3 relabeled))
 
 (* ------------------------------------------------------------------ *)
+(* certificate header and tag lines: the accepted language, pinned *)
+
+(* Each header line heads a one-request body, and each tag line sits
+   between a valid header and that body; [true] means the certificate
+   parses. *)
+let test_certificate_line_edges () =
+  let body = "instance rsp/1 n=2 d=2 requests=1\nreq 0 0,1 2\nend\n" in
+  let parses text = Result.is_ok (Cert.parse text) in
+  let hdr = "search-cert rsp/1 strategy=A_fix opt=1 alg=1" in
+  List.iter
+    (fun (line, ok) ->
+       check Alcotest.bool ("header " ^ line) ok (parses (line ^ "\n" ^ body)))
+    [
+      (hdr ^ " ratio=1", true);
+      (hdr, true);
+      ("search-cert rsp/1 alg=1 opt=1 strategy=A_fix", true);
+      (hdr ^ " opt=2", true);
+      ("search-cert rsp/1 strategy=A_fix opt=2 alg=4 ratio=1/2", true);
+      ("search-cert rsp/1 strategy=A_fix opt=1 alg=1 ratio=2", false);
+      ("search-cert rsp/2 strategy=A_fix opt=1 alg=1", false);
+      ("search-cert", false);
+      ("search-cert rsp/1", false);
+      ("search-certX rsp/1 strategy=A_fix opt=1 alg=1", false);
+      ("search-cert rsp/1 strategy=A_fix opt=1 alg=0", false);
+      ("search-cert rsp/1 strategy=A_fix opt=-1 alg=1", true);
+      ("search-cert rsp/1 strategy=A_fix opt=0x1 alg=1", true);
+      ("search-cert rsp/1 strategy=A_fix opt=+1 alg=1_0", true);
+      ("search-cert rsp/1 strategy=A_fix opt=007 alg=1", true);
+      ("search-cert rsp/1 strategy=A_fix opt=1 alg=4611686018427387903", true);
+      ("search-cert rsp/1 strategy=A_fix opt=1 alg=4611686018427387904", false);
+      ("search-cert rsp/1 strategy=A_fix opt= alg=1", false);
+      ("search-cert rsp/1 strategy=A_fix opt=1.0 alg=1", false);
+      ("search-cert rsp/1 strategy=A_fix opt=1 alg=1 seed=3", false);
+      ("search-cert rsp/1 strategy=A_fix opt alg=1", false);
+      ("search-cert rsp/1 strategy=A_fix  opt=1 alg=1", false);
+      ("search-cert\trsp/1 strategy=A_fix opt=1 alg=1", false);
+      ("search-cert rsp/1 =1 strategy=A_fix opt=1 alg=1", false);
+      ("search-cert rsp/1 strategy= opt=1 alg=1", true);
+      ("search-cert rsp/1 strategy=a=b opt=1 alg=1", true);
+      ("  " ^ hdr ^ "  ", true);
+    ];
+  List.iter
+    (fun (line, ok) ->
+       check Alcotest.bool ("tag " ^ line) ok
+         (parses (hdr ^ "\n" ^ line ^ "\n" ^ body)))
+    [
+      ("tag 0 late", true);
+      ("tag 0 prefer:1", true);
+      ("tag 0x0 early", true);
+      ("tag +0 late", true);
+      ("tag 00 late", true);
+      ("tag 0 late  ", true);
+      ("tag 1 late", false);
+      ("tag -1 late", false);
+      ("tag  0 late", false);
+      ("tag 0  late", false);
+      ("tag 0 late extra", false);
+      ("tag 0", false);
+      ("tag x late", false);
+      ("tag 0 bogus", false);
+      ("tag 0 prefer:-1", false);
+      ("tag 99999999999999999999 late", false);
+    ]
+
+(* ------------------------------------------------------------------ *)
 (* qcheck: certificates accept what was emitted, reject perturbations *)
 
 let prop_certificate =
@@ -331,7 +396,12 @@ let () =
           prop_budget_monotone;
         ] );
       ( "canonicalization", [ prop_canonical_relabel ] );
-      ( "certificates", [ prop_certificate ] );
+      ( "certificates",
+        [
+          prop_certificate;
+          Alcotest.test_case "header and tag line edges" `Quick
+            test_certificate_line_edges;
+        ] );
       ( "golden",
         [ Alcotest.test_case "quick table snapshot" `Slow
             test_golden_search_quick ] );

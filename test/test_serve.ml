@@ -91,6 +91,48 @@ let prop_server_roundtrip =
        (not (String.contains line '\n'))
        && Protocol.parse_server line = Ok m)
 
+(* Line framing: lines (empty ones included) plus an unterminated
+   tail, cut at arbitrary chunk boundaries and fed from an offset inside
+   a larger read buffer, come out as the non-empty lines in order, with
+   exactly the tail left buffered. *)
+let prop_lineio_framing =
+  let line =
+    QCheck.Gen.(string_size ~gen:(oneofl [ 'a'; 'b'; ' ' ]) (int_bound 4))
+  in
+  qtest ~count:300 "line framing survives any chunking"
+    (QCheck.make
+       ~print:QCheck.Print.(triple (list string) string (list int))
+       QCheck.Gen.(
+         triple (list_size (int_bound 12) line) line
+           (list_size (int_bound 8) (int_bound 10))))
+    (fun (lines, tail, cuts) ->
+       let stream =
+         String.concat "" (List.map (fun l -> l ^ "\n") lines) ^ tail
+       in
+       let t = Serve.Lineio.create () and out = ref [] in
+       let emit l = out := l :: !out in
+       let feed s =
+         (* from offset 3 of a scratch buffer with junk around the chunk *)
+         let b = Bytes.make (String.length s + 6) '\n' in
+         Bytes.blit_string s 0 b 3 (String.length s);
+         Serve.Lineio.feed t b 3 (String.length s) emit
+       in
+       let rec go pos cuts =
+         let rest = String.length stream - pos in
+         match cuts with
+         | c :: cuts when c < rest ->
+           feed (String.sub stream pos c);
+           go (pos + c) cuts
+         | _ -> feed (String.sub stream pos rest)
+       in
+       go 0 cuts;
+       let framed = List.rev !out and buffered = Serve.Lineio.buffered t in
+       framed = List.filter (fun l -> l <> "") lines
+       && buffered = String.length tail
+       && (out := [];
+           feed "\n";
+           !out = if tail = "" then [] else [ tail ]))
+
 (* The serve codec's accepted language, pinned line by line: each client
    line with the message it parses to or its exact error text (the
    server sends that text back in an [error] line), each server line
@@ -826,6 +868,61 @@ let test_e2e_line_too_long () =
   in
   check Alcotest.int "nothing admitted" 0 (counter snap "serve.admitted")
 
+(* Write [bytes] to the server in one write, then read until the server
+   closes the connection; returns what it sent. *)
+let raw_exchange addr bytes =
+  let path =
+    match addr with
+    | Server.Unix_sock p -> p
+    | Server.Tcp _ -> Alcotest.fail "raw_exchange: unix sockets only"
+  in
+  let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+       Unix.connect fd (Unix.ADDR_UNIX path);
+       check Alcotest.int "one write" (String.length bytes)
+         (Unix.write_substring fd bytes 0 (String.length bytes));
+       let got = Buffer.create 128 and chunk = Bytes.create 4096 in
+       let deadline = Unix.gettimeofday () +. 5.0 in
+       let rec loop () =
+         if Unix.gettimeofday () > deadline then
+           Alcotest.fail "server did not close the connection"
+         else
+           match Unix.select [ fd ] [] [] 0.25 with
+           | [], _, _ -> loop ()
+           | _ ->
+             let n = Unix.read fd chunk 0 (Bytes.length chunk) in
+             if n > 0 then begin
+               Buffer.add_subbytes got chunk 0 n;
+               loop ()
+             end
+       in
+       loop ();
+       Buffer.contents got)
+
+let test_e2e_nothing_after_closing () =
+  (* once a connection starts closing — a protocol error or [bye] — the
+     rest of that read is dropped unparsed: the valid [req] lines after
+     it are neither admitted nor answered into a closed connection *)
+  List.iter
+    (fun (what, first, expect) ->
+       let reply, snap =
+         with_server ~shards:2 ~n:8 ~d:4 (fun addr _ ->
+             raw_exchange addr
+               ("hello rsp/1 x\n" ^ first ^ "req 7 0 1\nreq 8 1 1\n"))
+       in
+       check Alcotest.bool (what ^ ": reply") true
+         (contains_sub ~sub:expect reply);
+       check Alcotest.int (what ^ ": nothing admitted") 0
+         (counter snap "serve.admitted");
+       check Alcotest.int (what ^ ": no reply dropped") 0
+         (counter snap "serve.responses_dropped"))
+    [
+      ("protocol error", "req x 0 1\n", "error malformed tag \"x\"");
+      ("bye", "bye\n", "welcome");
+    ]
+
 let base_cfg addr =
   {
     Server.addr;
@@ -916,6 +1013,7 @@ let () =
         [
           prop_client_roundtrip;
           prop_server_roundtrip;
+          prop_lineio_framing;
           Alcotest.test_case "parse edge cases" `Quick test_protocol_edge_cases;
           Alcotest.test_case "terminal classification" `Quick
             test_terminal_classification;
@@ -958,6 +1056,8 @@ let () =
             test_e2e_line_too_long;
           Alcotest.test_case "oversize batch rejected whole" `Quick
             test_e2e_oversize_batch_rejected;
+          Alcotest.test_case "nothing handled after closing" `Quick
+            test_e2e_nothing_after_closing;
         ] );
       ( "start",
         [
